@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the core kernels the matcher is
 // built from: similarity computation, IOF weighting, Hungarian matching,
-// wikitext/HTML parsing and object extraction. These quantify the
-// constants behind Fig. 11.
+// wikitext/HTML parsing, object extraction and bag compilation. These
+// quantify the constants behind Fig. 11.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +10,7 @@
 #include <functional>
 #include <string>
 
+#include "archive/socrata.h"
 #include "baselines/subject_column.h"
 #include "common/rng.h"
 #include "extract/features.h"
@@ -221,7 +222,36 @@ void BM_SubjectColumnDetection(benchmark::State& state) {
 }
 BENCHMARK(BM_SubjectColumnDetection);
 
-/// Median-of-repeats wall-clock timing for the --json report. Uses plain
+/// One snapshot of a Socrata subdomain: eight open-data tables of 20-150
+/// rows, the bags the data-lake matcher compiles every step.
+std::vector<extract::ObjectInstance> SocrataTables() {
+  archive::SocrataConfig config;
+  config.subdomains = {"bench"};
+  config.datasets_per_subdomain = 8;
+  config.num_snapshots = 1;
+  return archive::GenerateSocrata(config).front().snapshots.front();
+}
+
+/// Compiles every table into a FlatBag against a warm pool, as a lake
+/// step does once the context's vocabulary has been seen.
+void BuildFlatBags(const std::vector<extract::ObjectInstance>& tables,
+                   TokenPool& pool) {
+  for (const extract::ObjectInstance& table : tables) {
+    benchmark::DoNotOptimize(extract::BuildFlatBag(table, pool));
+  }
+}
+
+void BM_BuildFlatBag(benchmark::State& state) {
+  const std::vector<extract::ObjectInstance> tables = SocrataTables();
+  TokenPool pool;
+  BuildFlatBags(tables, pool);
+  for (auto _ : state) BuildFlatBags(tables, pool);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(tables.size()));
+}
+BENCHMARK(BM_BuildFlatBag);
+
+/// Best-of-repeats wall-clock timing for the --json report. Uses plain
 /// chrono rather than the benchmark library so the output stays a small,
 /// stable, machine-diffable file.
 double MeasureNsPerOp(int iters, const std::function<void()>& op) {
@@ -240,7 +270,8 @@ double MeasureNsPerOp(int iters, const std::function<void()>& op) {
 
 /// Writes BENCH_matching.json: ns/op of the matcher's kernels before
 /// (legacy string-hash bags) and after (interned FlatBag merge-joins),
-/// plus the full matching step both ways.
+/// the full matching step both ways, and FlatBag compilation per
+/// Socrata-sized table.
 int WriteJsonReport(const std::string& path) {
   Rng rng(1);
   constexpr int kTokens = 256;
@@ -273,6 +304,12 @@ int WriteJsonReport(const std::string& path) {
       MeasureNsPerOp(50, [&] { RunMatcher(revisions, /*use_flat=*/false); });
   double step_flat =
       MeasureNsPerOp(50, [&] { RunMatcher(revisions, /*use_flat=*/true); });
+  const std::vector<extract::ObjectInstance> tables = SocrataTables();
+  TokenPool table_pool;
+  BuildFlatBags(tables, table_pool);
+  double build_flat_bag =
+      MeasureNsPerOp(200, [&] { BuildFlatBags(tables, table_pool); }) /
+      static_cast<double>(tables.size());
 
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -285,11 +322,12 @@ int WriteJsonReport(const std::string& path) {
                "  \"ns_per_op\": {\n"
                "    \"sum_min_ruzicka\": {\"legacy\": %.1f, \"flat\": %.1f},\n"
                "    \"weighted_ruzicka\": {\"legacy\": %.1f, \"flat\": %.1f},\n"
-               "    \"matching_step\": {\"legacy\": %.1f, \"flat\": %.1f}\n"
+               "    \"matching_step\": {\"legacy\": %.1f, \"flat\": %.1f},\n"
+               "    \"build_flat_bag\": %.1f\n"
                "  }\n"
                "}\n",
                kTokens, sum_min_legacy, sum_min_flat, weighted_legacy,
-               weighted_flat, step_legacy, step_flat);
+               weighted_flat, step_legacy, step_flat, build_flat_bag);
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
   std::printf("sum_min_ruzicka   legacy %8.1f ns  flat %8.1f ns\n",
@@ -298,6 +336,8 @@ int WriteJsonReport(const std::string& path) {
               weighted_legacy, weighted_flat);
   std::printf("matching_step     legacy %8.1f ns  flat %8.1f ns\n",
               step_legacy, step_flat);
+  std::printf("build_flat_bag    %8.1f ns per Socrata table\n",
+              build_flat_bag);
   return 0;
 }
 

@@ -930,13 +930,9 @@ void TemporalMatcher::ProcessRevisionFlat(
           weights_.RemovePrevBag(t.recent_flat.back());
         }
         t.recent_flat.push_back(std::move(incoming[ni]));
+        while (t.recent_flat.size() > window) t.recent_flat.pop_front();
         if (use_index) {
-          index_->AppendBag(static_cast<uint32_t>(t.id),
-                            t.recent_flat.back());
-        }
-        while (t.recent_flat.size() > window) {
-          if (use_index) index_->NoteEviction(t.recent_flat.front());
-          t.recent_flat.pop_front();
+          index_->SetWindow(static_cast<uint32_t>(t.id), t.recent_flat);
         }
         if (incremental_weights) weights_.AddPrevBag(t.recent_flat.back());
         if (config_.enable_lsh_blocking) {
@@ -1079,13 +1075,9 @@ void TemporalMatcher::RebuildDerivedState() {
   hist_total_stamp_.clear();
   step_serial_ = 0;
   if (!config_.use_flat_kernels || !config_.enable_retrieval_index) return;
-  const size_t window =
-      static_cast<size_t>(std::max(config_.rear_view_window, 1));
-  index_ = std::make_unique<retrieval::CandidateIndex>(window);
+  index_ = std::make_unique<retrieval::CandidateIndex>();
   for (size_t ti = 0; ti < tracked_.size(); ++ti) {
-    for (const FlatBag& bag : tracked_[ti].recent_flat) {
-      index_->AppendBag(static_cast<uint32_t>(ti), bag);
-    }
+    index_->SetWindow(static_cast<uint32_t>(ti), tracked_[ti].recent_flat);
   }
   if (config_.use_idf_weighting) {
     // Seed the incremental previous-version document frequencies from

@@ -1,6 +1,7 @@
 #include "retrieval/candidate_index.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -20,31 +21,52 @@ constexpr double kThetaSlack = 1e-9;
 
 }  // namespace
 
-CandidateIndex::CandidateIndex(size_t window)
-    : window_(window == 0 ? 1 : window) {}
-
-void CandidateIndex::AppendBag(uint32_t object, const FlatBag& bag) {
-  if (object >= append_count_.size()) {
-    append_count_.resize(object + 1, 0);
+void CandidateIndex::SetWindow(uint32_t object,
+                               const std::deque<FlatBag>& window) {
+  if (object >= generation_.size()) {
+    generation_.resize(object + 1, 0);
+    live_postings_.resize(object + 1, 0);
+    has_empty_.resize(object + 1, 0);
   }
-  const uint32_t seq = ++append_count_[object];
-  if (bag.empty()) {
-    empty_postings_.push_back({object, seq, 0.0});
-    ++total_postings_;
-  } else {
-    const std::vector<FlatEntry>& entries = bag.entries();
-    const uint32_t max_id = entries.back().id;
-    if (lists_.size() <= max_id) lists_.resize(max_id + 1);
-    for (const FlatEntry& e : entries) {
-      lists_[e.id].push_back({object, seq, e.count});
+  // Fold the versions into one ascending (id, max count) list.
+  window_max_.clear();
+  bool has_empty = false;
+  for (const FlatBag& bag : window) {
+    has_empty = has_empty || bag.empty();
+    const std::vector<FlatEntry>& b = bag.entries();
+    merge_scratch_.clear();
+    size_t i = 0;
+    size_t j = 0;
+    while (i < window_max_.size() && j < b.size()) {
+      if (window_max_[i].id < b[j].id) {
+        merge_scratch_.push_back(window_max_[i++]);
+      } else if (b[j].id < window_max_[i].id) {
+        merge_scratch_.push_back(b[j++]);
+      } else {
+        merge_scratch_.push_back(
+            {b[j].id, std::max(window_max_[i].count, b[j].count)});
+        ++i;
+        ++j;
+      }
     }
-    total_postings_ += entries.size();
+    merge_scratch_.insert(merge_scratch_.end(), window_max_.begin() + i,
+                          window_max_.end());
+    merge_scratch_.insert(merge_scratch_.end(), b.begin() + j, b.end());
+    window_max_.swap(merge_scratch_);
   }
-  MaybeCompact();
-}
 
-void CandidateIndex::NoteEviction(const FlatBag& evicted) {
-  dead_postings_ += evicted.empty() ? 1 : evicted.DistinctCount();
+  const uint32_t generation = ++generation_[object];
+  dead_postings_ += live_postings_[object];
+  live_postings_[object] = static_cast<uint32_t>(window_max_.size());
+  has_empty_[object] = has_empty ? 1 : 0;
+  if (!window_max_.empty() && lists_.size() <= window_max_.back().id) {
+    lists_.resize(window_max_.back().id + 1);
+  }
+  for (const FlatEntry& e : window_max_) {
+    lists_[e.id].push_back({object, generation, e.count});
+  }
+  total_postings_ += window_max_.size();
+  MaybeCompact();
 }
 
 void CandidateIndex::MaybeCompact() {
@@ -58,22 +80,9 @@ void CandidateIndex::MaybeCompact() {
     list.erase(std::remove_if(list.begin(), list.end(), stale), list.end());
     live += list.size();
   }
-  empty_postings_.erase(std::remove_if(empty_postings_.begin(),
-                                       empty_postings_.end(), stale),
-                        empty_postings_.end());
-  live += empty_postings_.size();
   total_postings_ = live;
   dead_postings_ = 0;
   ++stats_.compactions;
-}
-
-void CandidateIndex::EnsureScratch(size_t object_count) {
-  if (acc_.size() < object_count) {
-    acc_.resize(object_count, 0.0);
-    acc_mark_.resize(object_count, 0);
-    term_best_.resize(object_count, 0.0);
-    term_mark_.resize(object_count, 0);
-  }
 }
 
 void CandidateIndex::RetrieveOverlaps(const FlatBag& query,
@@ -84,14 +93,17 @@ void CandidateIndex::RetrieveOverlaps(const FlatBag& query,
   out->candidates.clear();
   out->slack = 0.0;
   ++stats_.queries;
-  if (append_count_.empty() || query.empty()) return;
-  EnsureScratch(append_count_.size());
+  if (generation_.empty() || query.empty()) return;
+  if (acc_.size() < generation_.size()) {
+    acc_.resize(generation_.size(), 0.0);
+    acc_mark_.resize(generation_.size(), 0);
+  }
   ++query_serial_;
   touched_.clear();
 
-  // Collect the query terms that have a posting list, with their score
-  // caps w_t * count_query(t): no live window version can contribute
-  // more than its term cap to any overlap.
+  // Collect the query terms that have a posting list, in ascending id
+  // order, with their score caps w_t * count_query(t): no live posting
+  // can contribute more than its term cap to any overlap.
   terms_.clear();
   for (const FlatEntry& e : query.entries()) {
     if (e.id >= lists_.size() || lists_[e.id].empty()) continue;
@@ -100,59 +112,44 @@ void CandidateIndex::RetrieveOverlaps(const FlatBag& query,
   }
   if (terms_.empty()) return;
 
-  // Remaining mass starts as the total cap of the indexed terms, summed
-  // in ascending id order (entry order) for determinism.
-  double remaining = 0.0;
-  for (const TermRef& t : terms_) remaining += t.cap;
-
-  // WAND pivot order: highest-cap terms first so the remaining mass
-  // decays as fast as possible. Ties broken by id for determinism.
-  std::sort(terms_.begin(), terms_.end(),
-            [](const TermRef& a, const TermRef& b) {
-              if (a.cap != b.cap) return a.cap > b.cap;
-              return a.id < b.id;
-            });
-
   // sim_strict(q, v) <= overlap / total_q: once the unvisited terms'
   // mass cannot reach theta * total_q, no object touched only by tail
   // terms can clear theta, and every touched object's bound is completed
-  // by adding the remaining mass as slack.
-  const double exit_below =
-      allow_early_exit ? (theta - kThetaSlack) * query_weighted_total : -1.0;
+  // by adding the remaining mass as slack. The remaining mass starts as
+  // the total cap, summed in id order for determinism, and the walk
+  // takes the highest-cap terms first (ties by id) so that it decays as
+  // fast as possible.
+  double remaining = 0.0;
+  double exit_below = 0.0;
+  if (allow_early_exit) {
+    for (const TermRef& t : terms_) remaining += t.cap;
+    std::sort(terms_.begin(), terms_.end(),
+              [](const TermRef& a, const TermRef& b) {
+                if (a.cap != b.cap) return a.cap > b.cap;
+                return a.id < b.id;
+              });
+    exit_below = (theta - kThetaSlack) * query_weighted_total;
+  }
 
+  // One pass per term: each object has at most one live posting in a
+  // list, so each object's sum runs in term order whatever the posting
+  // interleaving, and a rebuilt index accumulates bit-identically.
   size_t walked = 0;
   for (const TermRef& t : terms_) {
     if (allow_early_exit && walked > 0 && remaining < exit_below) break;
     ++walked;
     const std::vector<Posting>& list = lists_[t.id];
     stats_.postings_scanned += list.size();
-    // Two phases per term: first the max live count per object (window
-    // versions of one object shadow each other under min()), then one
-    // accumulation per touched object. This makes each object's sum
-    // independent of how its postings interleave with other objects',
-    // so a rebuilt index accumulates bit-identically.
-    ++term_serial_;
-    term_touched_.clear();
     for (const Posting& p : list) {
       if (!Live(p)) continue;
-      if (term_mark_[p.object] != term_serial_) {
-        term_mark_[p.object] = term_serial_;
-        term_best_[p.object] = p.count;
-        term_touched_.push_back(p.object);
-      } else if (p.count > term_best_[p.object]) {
-        term_best_[p.object] = p.count;
-      }
-    }
-    for (const uint32_t object : term_touched_) {
-      const double best = term_best_[object];
       const double contribution =
-          t.weight * (t.count < best ? t.count : best);
-      if (acc_mark_[object] != query_serial_) {
-        acc_mark_[object] = query_serial_;
-        acc_[object] = contribution;
-        touched_.push_back(object);
+          t.weight * (t.count < p.count ? t.count : p.count);
+      if (acc_mark_[p.object] != query_serial_) {
+        acc_mark_[p.object] = query_serial_;
+        acc_[p.object] = contribution;
+        touched_.push_back(p.object);
       } else {
-        acc_[object] += contribution;
+        acc_[p.object] += contribution;
       }
     }
     remaining -= t.cap;
@@ -176,92 +173,77 @@ void CandidateIndex::RetrieveOverlaps(const FlatBag& query,
 
 void CandidateIndex::ValidEmptyObjects(std::vector<uint32_t>* out) const {
   out->clear();
-  for (const Posting& p : empty_postings_) {
-    if (Live(p)) out->push_back(p.object);
+  for (uint32_t object = 0; object < has_empty_.size(); ++object) {
+    if (has_empty_[object] != 0) out->push_back(object);
   }
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
 }
 
 void CandidateIndex::Validate(
     const std::vector<const std::deque<FlatBag>*>& windows,
     ValidationReport* report) const {
-  if (windows.size() != append_count_.size()) {
+  if (windows.size() != generation_.size()) {
     report->AddIssue("retrieval_index")
-        << "tracks " << append_count_.size() << " objects, matcher has "
+        << "tracks " << generation_.size() << " objects, matcher has "
         << windows.size();
     return;
   }
-  uint64_t window_entries = 0;
+  // The expected postings, from the windows alone: per object, each
+  // distinct window token with its largest count over the versions.
+  std::vector<std::unordered_map<uint32_t, double>> window_max(
+      windows.size());
+  uint64_t window_tokens = 0;
   for (size_t object = 0; object < windows.size(); ++object) {
-    const std::deque<FlatBag>& window = *windows[object];
-    if (window.size() > window_) {
-      report->AddIssue("retrieval_index")
-          << "object " << object << " window holds " << window.size()
-          << " bags, index window is " << window_;
+    bool has_empty = false;
+    for (const FlatBag& bag : *windows[object]) {
+      has_empty = has_empty || bag.empty();
+      for (const FlatEntry& e : bag.entries()) {
+        double& best = window_max[object][e.id];
+        best = std::max(best, e.count);
+      }
     }
-    if (append_count_[object] < window.size()) {
+    window_tokens += window_max[object].size();
+    if (has_empty != (has_empty_[object] != 0)) {
       report->AddIssue("retrieval_index")
-          << "object " << object << " append_count "
-          << append_count_[object] << " below window size " << window.size();
-    }
-    for (const FlatBag& bag : window) {
-      window_entries += bag.empty() ? 1 : bag.DistinctCount();
+          << "object " << object << " empty flag is "
+          << (has_empty_[object] != 0) << ", window "
+          << (has_empty ? "has" : "has no") << " empty version";
     }
   }
 
-  // Every live posting must point at an existing window bag with the
-  // same count for its token; (object, seq) must be unique per list.
+  // Every live posting carries its token's window max, and no (object,
+  // token) has two live postings.
   uint64_t live_postings = 0;
-  std::unordered_set<uint64_t> seen;
-  auto check_live = [&](uint32_t token, const Posting& p, bool empty_list) {
-    const std::deque<FlatBag>& window = *windows[p.object];
-    const uint64_t back = append_count_[p.object] - p.append_seq;
-    if (back >= window.size()) {
-      report->AddIssue("retrieval_index")
-          << "live posting for object " << p.object << " seq "
-          << p.append_seq << " has no window bag";
-      return;
-    }
-    ++live_postings;
-    const uint64_t key =
-        (static_cast<uint64_t>(p.object) << 32) | p.append_seq;
-    if (!seen.insert(key).second) {
-      report->AddIssue("retrieval_index")
-          << "duplicate posting for object " << p.object << " seq "
-          << p.append_seq << " in list " << token;
-    }
-    const FlatBag& bag = window[window.size() - 1 - back];
-    if (empty_list) {
-      if (!bag.empty()) {
-        report->AddIssue("retrieval_index")
-            << "empty posting for object " << p.object
-            << " maps to a non-empty bag";
-      }
-    } else if (bag.Count(token) != p.count) {
-      report->AddIssue("retrieval_index")
-          << "posting count mismatch for object " << p.object << " token "
-          << token;
-    }
-  };
+  std::unordered_set<uint32_t> seen;
   for (uint32_t token = 0; token < lists_.size(); ++token) {
     seen.clear();
     for (const Posting& p : lists_[token]) {
-      if (Live(p)) check_live(token, p, /*empty_list=*/false);
+      if (!Live(p)) continue;
+      ++live_postings;
+      if (!seen.insert(p.object).second) {
+        report->AddIssue("retrieval_index")
+            << "duplicate live posting for object " << p.object
+            << " in list " << token;
+      }
+      const auto it = window_max[p.object].find(token);
+      if (it == window_max[p.object].end()) {
+        report->AddIssue("retrieval_index")
+            << "live posting for object " << p.object << " token " << token
+            << " absent from its window";
+      } else if (it->second != p.count) {
+        report->AddIssue("retrieval_index")
+            << "posting count " << p.count << " for object " << p.object
+            << " token " << token << ", window max is " << it->second;
+      }
     }
   }
-  seen.clear();
-  for (const Posting& p : empty_postings_) {
-    if (Live(p)) check_live(0, p, /*empty_list=*/true);
-  }
 
-  // Counting both directions: the per-posting checks above prove every
-  // live posting maps to a distinct window entry; equal totals then
-  // prove every window entry has its posting.
-  if (live_postings != window_entries) {
+  // Counting both directions: the checks above prove every live posting
+  // maps to a distinct window token; equal totals then prove every
+  // window token has its posting.
+  if (live_postings != window_tokens) {
     report->AddIssue("retrieval_index")
-        << live_postings << " live postings vs " << window_entries
-        << " window entries";
+        << live_postings << " live postings vs " << window_tokens
+        << " distinct window tokens";
   }
 }
 

@@ -48,39 +48,34 @@ struct RetrievalResult {
 /// Incremental inverted index over interned token ids, maintained
 /// alongside the matcher's rear-view FlatBag windows (DESIGN.md §12).
 ///
-/// One posting list per token id; a posting records (object, per-object
-/// append sequence number, count). Postings are appended when a window
-/// version is added and invalidated lazily: a posting is live iff its
-/// append_seq is within the newest `window` appends of its object, so
-/// window eviction is O(1) bookkeeping and list walks skip stale entries
-/// by comparing two integers. Compaction rewrites the lists once stale
-/// entries dominate; because queries consult live postings only, when it
-/// runs is unobservable in retrieval results — an index rebuilt from the
-/// windows alone (snapshot restore) retrieves identically to one that
-/// was maintained incrementally.
+/// One posting list per token id, and at most one live posting per
+/// (token, object): it carries the token's largest count over the
+/// object's live window versions, the only count an overlap bound
+/// against every version needs (versions shadow each other under
+/// min()). Each object has a generation stamp; SetWindow bumps it and
+/// writes the new postings, which turns the object's old postings stale
+/// without touching them — list walks skip stale entries by comparing
+/// two integers. Compaction rewrites the lists once stale entries
+/// dominate; because queries consult live postings only, when it runs is
+/// unobservable in retrieval results — an index rebuilt from the windows
+/// alone (snapshot restore) retrieves identically to one that was
+/// maintained incrementally.
 ///
-/// Query-time scoring is a document-at-a-time accumulation with
-/// WAND-style early termination: query terms are walked in descending
-/// order of their score caps w_t * count_query(t), and once the mass of
-/// the unvisited terms can no longer lift any object to the strict
-/// threshold, the remaining (typically long, low-weight) lists are
-/// skipped wholesale. Caps depend only on the query and the weights —
-/// never on index state — so early termination is deterministic too.
+/// Query-time scoring is a term-at-a-time accumulation. With
+/// `allow_early_exit` the walk is WAND-style: query terms are walked in
+/// descending order of their score caps w_t * count_query(t), and once
+/// the mass of the unvisited terms can no longer lift any object to the
+/// strict threshold, the remaining (typically long, low-weight) lists are
+/// skipped wholesale. Otherwise terms are walked in id order. Caps depend
+/// only on the query and the weights — never on index state — so the
+/// walk order, and with it every accumulated bound, is deterministic.
 class CandidateIndex {
  public:
-  /// `window` is the matcher's rear-view window (>= 1): the number of
-  /// most recent appends per object that are live.
-  explicit CandidateIndex(size_t window);
-
-  /// Registers `bag` as the newest window version of `object`. Object
-  /// ids may arrive in any order; the id space is grown as needed. The
-  /// oldest version falls out of the live range automatically once more
-  /// than `window` bags have been appended.
-  void AppendBag(uint32_t object, const FlatBag& bag);
-
-  /// Bookkeeping for one evicted window version (the bag popped from the
-  /// matcher's deque): feeds the compaction trigger only.
-  void NoteEviction(const FlatBag& evicted);
+  /// Makes `window` (the object's rear-view versions, oldest first) the
+  /// live window of `object`: the object's previous postings turn stale
+  /// and one posting per distinct window token is written. Object ids may
+  /// arrive in any order; the id space is grown as needed.
+  void SetWindow(uint32_t object, const std::deque<FlatBag>& window);
 
   /// All objects sharing >= 1 token with `query`, each with its weighted
   /// overlap upper bound. `theta` is the lowest similarity threshold the
@@ -94,18 +89,17 @@ class CandidateIndex {
                         double query_weighted_total, double theta,
                         bool allow_early_exit, RetrievalResult* out);
 
-  /// Objects whose newest-or-older live window versions include an empty
-  /// bag (empty vs empty scores similarity 1, so an empty query must
-  /// consider them). Ascending, deduplicated.
+  /// Objects whose live window includes an empty bag (empty vs empty
+  /// scores similarity 1, so an empty query must consider them).
+  /// Ascending.
   void ValidEmptyObjects(std::vector<uint32_t>* out) const;
 
-  size_t window() const { return window_; }
-  size_t object_count() const { return append_count_.size(); }
+  size_t object_count() const { return generation_.size(); }
 
   const RetrievalStats& stats() const { return stats_; }
   RetrievalStats* mutable_stats() { return &stats_; }
 
-  /// Cross-checks every live posting against the actual window contents
+  /// Cross-checks the index against the actual window contents
   /// (`windows[object]` = the matcher's recent_flat deque, oldest first).
   /// Appends one issue per inconsistency. See ValidateCandidateIndex.
   void Validate(const std::vector<const std::deque<FlatBag>*>& windows,
@@ -114,33 +108,32 @@ class CandidateIndex {
  private:
   struct Posting {
     uint32_t object = 0;
-    uint32_t append_seq = 0;  // 1-based value of append_count_ at append
-    double count = 0.0;
+    uint32_t generation = 0;  // the object's generation when written
+    double count = 0.0;       // largest count over the window's versions
   };
 
   bool Live(const Posting& p) const {
-    return p.append_seq + window_ > append_count_[p.object];
+    return p.generation == generation_[p.object];
   }
 
-  void EnsureScratch(size_t object_count);
   void MaybeCompact();
 
-  size_t window_;
   std::vector<std::vector<Posting>> lists_;  // by token id
-  std::vector<Posting> empty_postings_;      // appended empty bags
-  std::vector<uint32_t> append_count_;       // per object
+  std::vector<uint32_t> generation_;         // per object: SetWindow calls
+  std::vector<uint32_t> live_postings_;      // per object: live posting count
+  std::vector<uint8_t> has_empty_;           // per object: empty version live
   uint64_t total_postings_ = 0;              // live + stale across lists
-  uint64_t dead_postings_ = 0;               // known-stale (evictions)
+  uint64_t dead_postings_ = 0;               // known-stale
+
+  // SetWindow scratch: the window's per-token max counts, ascending id.
+  std::vector<FlatEntry> window_max_;
+  std::vector<FlatEntry> merge_scratch_;
 
   // Query scratch, stamped so clears are O(touched), never O(objects).
   std::vector<double> acc_;          // per object: accumulated bound
   std::vector<uint64_t> acc_mark_;   // stamp: acc_ valid this query
-  std::vector<double> term_best_;    // per object: max live count, 1 term
-  std::vector<uint64_t> term_mark_;  // stamp: term_best_ valid this term
   std::vector<uint32_t> touched_;    // objects with acc_ set this query
-  std::vector<uint32_t> term_touched_;
   uint64_t query_serial_ = 0;
-  uint64_t term_serial_ = 0;
 
   struct TermRef {
     uint32_t id = 0;

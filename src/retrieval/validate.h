@@ -11,11 +11,12 @@ namespace somr::retrieval {
 
 /// Cross-checks the inverted index against the matcher's rear-view
 /// windows (`windows[object]` = that object's recent FlatBags, oldest
-/// first): every live posting maps to a distinct window entry with the
-/// same count, empty-bag postings map to empty bags, and the live
-/// posting total equals the window entry total, so neither side holds
-/// anything the other lacks. Run at step boundaries in debug builds and
-/// by `somr_process --validate`.
+/// first): each live posting carries its token's largest count over the
+/// object's window, no (object, token) has two live postings, the live
+/// posting total equals the number of distinct window tokens, and an
+/// object's empty flag is set exactly when some window version is empty.
+/// Run at step boundaries in debug builds and by `somr_process
+/// --validate`.
 void ValidateCandidateIndex(
     const CandidateIndex& index,
     const std::vector<const std::deque<FlatBag>*>& windows,
@@ -23,6 +24,7 @@ void ValidateCandidateIndex(
 
 SOMR_REGISTER_VALIDATOR(retrieval_index, "retrieval_index",
                         "inverted-index postings agree with the rear-view "
-                        "FlatBag windows (live set, counts, totals)");
+                        "FlatBag windows (window-max counts, one posting "
+                        "per object and token, totals, empty flags)");
 
 }  // namespace somr::retrieval

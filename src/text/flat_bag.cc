@@ -3,6 +3,36 @@
 #include <algorithm>
 
 namespace somr {
+namespace {
+
+/// Below this many ids std::sort beats the radix passes, whose 256-bucket
+/// histograms cost the same however few ids they count.
+constexpr size_t kRadixSortMinIds = 32;
+
+/// LSD radix sort over the bytes the largest id uses: one stable counting
+/// pass per byte, ping-ponging between `ids` and a scratch buffer.
+void RadixSort(std::vector<uint32_t>& ids) {
+  uint32_t max_id = 0;
+  for (const uint32_t id : ids) max_id = std::max(max_id, id);
+  std::vector<uint32_t> scratch(ids.size());
+  for (uint32_t shift = 0; shift < 32 && (max_id >> shift) != 0;
+       shift += 8) {
+    size_t offsets[256] = {};
+    for (const uint32_t id : ids) ++offsets[(id >> shift) & 0xffu];
+    size_t next = 0;
+    for (size_t& offset : offsets) {
+      const size_t count = offset;
+      offset = next;
+      next += count;
+    }
+    for (const uint32_t id : ids) {
+      scratch[offsets[(id >> shift) & 0xffu]++] = id;
+    }
+    ids.swap(scratch);
+  }
+}
+
+}  // namespace
 
 FlatBag FlatBag::FromBag(const BagOfWords& bag, TokenPool& pool) {
   FlatBag flat;
@@ -22,7 +52,11 @@ FlatBag FlatBag::FromBag(const BagOfWords& bag, TokenPool& pool) {
 FlatBag FlatBag::FromTokenIds(std::vector<uint32_t> ids) {
   FlatBag flat;
   if (ids.empty()) return flat;
-  std::sort(ids.begin(), ids.end());
+  if (ids.size() < kRadixSortMinIds) {
+    std::sort(ids.begin(), ids.end());
+  } else {
+    RadixSort(ids);
+  }
   flat.entries_.reserve(ids.size());
   size_t run_start = 0;
   for (size_t i = 1; i <= ids.size(); ++i) {

@@ -34,8 +34,9 @@ class FlatBag {
   static FlatBag FromBag(const BagOfWords& bag, TokenPool& pool);
 
   /// Builds a bag from unit-weight token occurrences (repeats allowed,
-  /// any order): sorts and run-length encodes. This is the fast path used
-  /// by extract::BuildFlatBag.
+  /// any order): sorts (LSD radix over the bytes the largest id uses,
+  /// std::sort for short inputs) and run-length encodes. This is the fast
+  /// path used by extract::BuildFlatBag.
   static FlatBag FromTokenIds(std::vector<uint32_t> ids);
 
   /// Rebuilds a bag from previously compiled entries (snapshot restore).

@@ -1,10 +1,11 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 namespace somr {
 
@@ -14,6 +15,11 @@ namespace somr {
 /// order, so a pool that has interned the whole corpus so far is exactly
 /// `size()` ids wide — dense per-id side tables (weights, document
 /// frequencies) are just vectors indexed by id.
+///
+/// Lookups go through an open-addressing table of (id, hash tag) slots:
+/// power-of-two sized, linear probing, at most half full. The tag filters
+/// probe collisions before any spelling is compared, and lets growth
+/// rehash without touching the spellings.
 ///
 /// A pool is owned by one matcher (one page's revision stream); it is not
 /// thread-safe and ids from different pools are unrelated.
@@ -42,10 +48,21 @@ class TokenPool {
   bool empty() const { return spellings_.empty(); }
 
  private:
-  // A deque keeps spelling addresses stable across growth, so the map can
-  // key string_views that point into the stored spellings.
+  struct Slot {
+    uint32_t id = kInvalidId;  // kInvalidId marks an empty slot
+    uint32_t tag = 0;          // hash of the spelling; low bits pick the slot
+  };
+
+  static uint32_t Tag(std::string_view token);
+  /// Index of the slot holding `token`, or of the empty slot where it
+  /// belongs. `slots_` must be non-empty.
+  size_t Probe(std::string_view token, uint32_t tag) const;
+  void Grow();
+
+  // A deque keeps spelling addresses stable across growth, so Spelling()
+  // references stay valid while the pool keeps interning.
   std::deque<std::string> spellings_;
-  std::unordered_map<std::string_view, uint32_t> ids_;
+  std::vector<Slot> slots_;  // power-of-two size, at most half full
 };
 
 }  // namespace somr

@@ -1,10 +1,11 @@
 // Randomized differential test of the retrieval-index candidate
 // generation (src/retrieval/) against the all-pairs sweep: on seeded
-// wikigen corpora the two paths must produce byte-identical identity
-// graphs, outcome stats, and match provenance across every object type
-// and config ablation, while the indexed path scores at most as many
-// pairs as the sweep. Also covers snapshot restore (the index is rebuilt,
-// the "retrieval_index" validator must pass) and the shape pre-filter.
+// wikigen corpora and a Socrata data lake the two paths must produce
+// byte-identical identity graphs, outcome stats, and match provenance
+// across every object type and config ablation, while the indexed path
+// scores at most as many pairs as the sweep. Also covers snapshot restore
+// (the index is rebuilt, the "retrieval_index" validator must pass) and
+// the shape pre-filter.
 
 #include <sstream>
 #include <string>
@@ -12,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "archive/socrata.h"
 #include "common/check.h"
 #include "eval/harness.h"
 #include "matching/graph_io.h"
@@ -170,6 +172,34 @@ INSTANTIATE_TEST_SUITE_P(AllTypes, RetrievalEquivalenceTest,
                          ::testing::Values(extract::ObjectType::kTable,
                                            extract::ObjectType::kInfobox,
                                            extract::ObjectType::kList));
+
+TEST(RetrievalLakeTest, IndexedMatchesSweptOnSocrataLake) {
+  // Full rear-view windows of large, unordered, token-heavy tables: the
+  // regime where every retrieval walk meets long posting lists and every
+  // object's window repeats most of its tokens across versions. Twelve
+  // snapshots roll each window past the default k = 5 several times.
+  archive::SocrataConfig lake;
+  lake.subdomains = {"chicago", "utah"};
+  lake.datasets_per_subdomain = 8;
+  lake.num_snapshots = 12;
+  lake.seed = 2026;
+  MatcherConfig base;
+  base.use_spatial_features = false;
+  for (const archive::SocrataContext& context :
+       archive::GenerateSocrata(lake)) {
+    SCOPED_TRACE(context.subdomain);
+    MatcherConfig swept = base;
+    swept.enable_retrieval_index = false;
+    MatcherConfig indexed = base;
+    indexed.enable_retrieval_index = true;
+    const Outcome indexed_outcome =
+        RunEngine(context.snapshots, extract::ObjectType::kTable, indexed);
+    ExpectEquivalent(
+        RunEngine(context.snapshots, extract::ObjectType::kTable, swept),
+        indexed_outcome);
+    EXPECT_GT(indexed_outcome.stats.stage2_matches, 0u);
+  }
+}
 
 TEST(RetrievalSnapshotTest, RestoredIndexValidatesAndContinuesIdentically) {
   wikigen::GoldCorpus corpus = SmallCorpus(extract::ObjectType::kTable, 111);

@@ -1,8 +1,8 @@
 // Tests for the incremental inverted index (src/retrieval/): bound
 // soundness against a brute-force overlap oracle under randomized window
-// churn, lazy invalidation on eviction, compaction invisibility, WAND
-// early-termination accounting, the window validator, and bit-equality
-// of the SIMD galloping intersection backends.
+// churn, stale postings after eviction, per-token window maxima,
+// compaction invisibility, WAND early-termination accounting, the window
+// validator, and bit-equality of the SIMD galloping intersection backends.
 
 #include "retrieval/candidate_index.h"
 
@@ -34,18 +34,55 @@ double Overlap(const FlatBag& a, const FlatBag& b,
   return sim::WeightedSumMin(a, b, weights);
 }
 
-TEST(CandidateIndexTest, RetrievesSharedTokenObjects) {
-  CandidateIndex index(/*window=*/3);
-  sim::DenseTokenWeights weights;
-  weights.BuildUniform();
-  index.AppendBag(0, MakeBag({1, 2, 3}));
-  index.AppendBag(1, MakeBag({7, 8}));
-  index.AppendBag(2, MakeBag({3, 4}));
+// Rear-view windows kept the way the matcher keeps them: push the newest
+// version, drop the oldest beyond `window`, hand the result to the index.
+class Windows {
+ public:
+  Windows(CandidateIndex* index, size_t window, size_t objects = 0)
+      : index_(index), window_(window), windows_(objects) {}
 
-  FlatBag query = MakeBag({2, 3, 9});
+  void Push(uint32_t object, const FlatBag& bag) {
+    if (object >= windows_.size()) windows_.resize(object + 1);
+    std::deque<FlatBag>& w = windows_[object];
+    w.push_back(bag);
+    while (w.size() > window_) w.pop_front();
+    index_->SetWindow(object, w);
+  }
+
+  const std::vector<std::deque<FlatBag>>& windows() const {
+    return windows_;
+  }
+
+  std::vector<const std::deque<FlatBag>*> Pointers() const {
+    std::vector<const std::deque<FlatBag>*> out;
+    for (const std::deque<FlatBag>& w : windows_) out.push_back(&w);
+    return out;
+  }
+
+ private:
+  CandidateIndex* index_;
+  size_t window_;
+  std::vector<std::deque<FlatBag>> windows_;
+};
+
+RetrievalResult FullWalk(CandidateIndex& index, const FlatBag& query,
+                         const sim::DenseTokenWeights& weights) {
   RetrievalResult result;
   index.RetrieveOverlaps(query, weights, query.TotalCount(), /*theta=*/0.1,
                          /*allow_early_exit=*/false, &result);
+  return result;
+}
+
+TEST(CandidateIndexTest, RetrievesSharedTokenObjects) {
+  CandidateIndex index;
+  Windows windows(&index, /*window=*/3);
+  sim::DenseTokenWeights weights;
+  weights.BuildUniform();
+  windows.Push(0, MakeBag({1, 2, 3}));
+  windows.Push(1, MakeBag({7, 8}));
+  windows.Push(2, MakeBag({3, 4}));
+
+  RetrievalResult result = FullWalk(index, MakeBag({2, 3, 9}), weights);
   ASSERT_EQ(result.candidates.size(), 2u);
   EXPECT_EQ(result.slack, 0.0);
   EXPECT_EQ(result.candidates[0].object, 0u);
@@ -56,34 +93,56 @@ TEST(CandidateIndexTest, RetrievesSharedTokenObjects) {
 }
 
 TEST(CandidateIndexTest, EvictedVersionsStopMatching) {
-  CandidateIndex index(/*window=*/1);
+  CandidateIndex index;
+  Windows windows(&index, /*window=*/1);
   sim::DenseTokenWeights weights;
   weights.BuildUniform();
-  index.AppendBag(0, MakeBag({1, 2}));
-  index.AppendBag(0, MakeBag({5, 6}));  // evicts {1, 2} (window 1)
-  index.NoteEviction(MakeBag({1, 2}));
+  windows.Push(0, MakeBag({1, 2}));
+  windows.Push(0, MakeBag({5, 6}));  // evicts {1, 2} (window 1)
 
-  FlatBag query = MakeBag({1, 2});
-  RetrievalResult result;
-  index.RetrieveOverlaps(query, weights, query.TotalCount(), 0.1,
-                         /*allow_early_exit=*/false, &result);
-  EXPECT_TRUE(result.candidates.empty());
+  EXPECT_TRUE(FullWalk(index, MakeBag({1, 2}), weights).candidates.empty());
+}
+
+TEST(CandidateIndexTest, BoundDropsWhenHighCountVersionLeaves) {
+  // A posting carries its token's max count over the live window; when
+  // the only version holding the high count leaves, the bound falls to
+  // the max of the versions that remain.
+  CandidateIndex index;
+  Windows windows(&index, /*window=*/2);
+  sim::DenseTokenWeights weights;
+  weights.BuildUniform();
+  const FlatBag query = MakeBag({1, 1, 1, 1});
+  windows.Push(0, MakeBag({1, 1, 1, 2}));
+  windows.Push(0, MakeBag({1, 3}));
+  RetrievalResult result = FullWalk(index, query, weights);
+  ASSERT_EQ(result.candidates.size(), 1u);
+  EXPECT_DOUBLE_EQ(result.candidates[0].overlap_bound, 3.0);
+
+  windows.Push(0, MakeBag({1, 1, 4}));  // evicts the count-3 version
+  result = FullWalk(index, query, weights);
+  ASSERT_EQ(result.candidates.size(), 1u);
+  EXPECT_DOUBLE_EQ(result.candidates[0].overlap_bound, 2.0);
+
+  ValidationReport report;
+  ValidateCandidateIndex(index, windows.Pointers(), &report);
+  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 TEST(CandidateIndexTest, ValidEmptyObjectsTracksLiveEmptyVersions) {
-  CandidateIndex index(/*window=*/2);
-  index.AppendBag(0, MakeBag({1}));
-  index.AppendBag(1, MakeBag({}));  // empty version
-  index.AppendBag(2, MakeBag({2}));
-  index.AppendBag(2, MakeBag({}));
+  CandidateIndex index;
+  Windows windows(&index, /*window=*/2);
+  windows.Push(0, MakeBag({1}));
+  windows.Push(1, MakeBag({}));  // empty version
+  windows.Push(2, MakeBag({2}));
+  windows.Push(2, MakeBag({}));
 
   std::vector<uint32_t> empties;
   index.ValidEmptyObjects(&empties);
   EXPECT_EQ(empties, (std::vector<uint32_t>{1, 2}));
 
   // Roll object 1's window until the empty version dies.
-  index.AppendBag(1, MakeBag({3}));
-  index.AppendBag(1, MakeBag({4}));
+  windows.Push(1, MakeBag({3}));
+  windows.Push(1, MakeBag({4}));
   index.ValidEmptyObjects(&empties);
   EXPECT_EQ(empties, (std::vector<uint32_t>{2}));
 }
@@ -109,10 +168,9 @@ std::map<uint32_t, double> BruteOverlaps(
 
 TEST(CandidateIndexTest, RandomizedBoundsAreSoundUnderChurn) {
   Rng rng(20260809);
-  const size_t kWindow = 3;
   const size_t kObjects = 24;
-  CandidateIndex index(kWindow);
-  std::vector<std::deque<FlatBag>> windows(kObjects);
+  CandidateIndex index;
+  Windows windows(&index, /*window=*/3, kObjects);
   sim::DenseTokenWeights weights;
   weights.BuildUniform();
 
@@ -125,21 +183,12 @@ TEST(CandidateIndexTest, RandomizedBoundsAreSoundUnderChurn) {
     return MakeBag(std::move(ids));
   };
 
-  // Seed one version per object, then churn for a few hundred appends.
+  // Seed one version per object, then churn for a few hundred pushes.
   for (size_t o = 0; o < kObjects; ++o) {
-    FlatBag bag = random_bag();
-    index.AppendBag(static_cast<uint32_t>(o), bag);
-    windows[o].push_back(bag);
+    windows.Push(static_cast<uint32_t>(o), random_bag());
   }
   for (int step = 0; step < 300; ++step) {
-    const size_t o = rng.Index(kObjects);
-    FlatBag bag = random_bag();
-    index.AppendBag(static_cast<uint32_t>(o), bag);
-    windows[o].push_back(bag);
-    while (windows[o].size() > kWindow) {
-      index.NoteEviction(windows[o].front());
-      windows[o].pop_front();
-    }
+    windows.Push(static_cast<uint32_t>(rng.Index(kObjects)), random_bag());
 
     if (step % 10 != 0) continue;
     FlatBag query = random_bag();
@@ -148,7 +197,8 @@ TEST(CandidateIndexTest, RandomizedBoundsAreSoundUnderChurn) {
     index.RetrieveOverlaps(query, weights, query.TotalCount(), 0.0,
                            /*allow_early_exit=*/false, &result);
     EXPECT_EQ(result.slack, 0.0);
-    std::map<uint32_t, double> brute = BruteOverlaps(windows, query, weights);
+    std::map<uint32_t, double> brute =
+        BruteOverlaps(windows.windows(), query, weights);
     // Every overlapping object is retrieved with a bound at or above its
     // true max overlap, and nothing else is.
     ASSERT_EQ(result.candidates.size(), brute.size());
@@ -162,40 +212,29 @@ TEST(CandidateIndexTest, RandomizedBoundsAreSoundUnderChurn) {
 
   // The index still agrees with the windows after all the churn.
   ValidationReport report;
-  std::vector<const std::deque<FlatBag>*> window_ptrs;
-  for (const std::deque<FlatBag>& w : windows) window_ptrs.push_back(&w);
-  ValidateCandidateIndex(index, window_ptrs, &report);
+  ValidateCandidateIndex(index, windows.Pointers(), &report);
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 TEST(CandidateIndexTest, CompactionIsInvisibleToQueries) {
   // Churn one index hard enough to trigger compaction, then compare its
-  // retrieval output against a fresh index holding only the live bags.
-  const size_t kWindow = 2;
-  CandidateIndex churned(kWindow);
+  // retrieval output against a fresh index holding only the live windows.
+  CandidateIndex churned;
+  Windows windows(&churned, /*window=*/2, /*objects=*/4);
   Rng rng(7);
-  std::vector<std::deque<FlatBag>> windows(4);
   for (int step = 0; step < 4000; ++step) {
-    const size_t o = rng.Index(windows.size());
     std::vector<uint32_t> ids;
     for (int i = 0; i < 6; ++i) {
       ids.push_back(static_cast<uint32_t>(rng.UniformInt(0, 9)));
     }
-    FlatBag bag = MakeBag(std::move(ids));
-    churned.AppendBag(static_cast<uint32_t>(o), bag);
-    windows[o].push_back(bag);
-    while (windows[o].size() > kWindow) {
-      churned.NoteEviction(windows[o].front());
-      windows[o].pop_front();
-    }
+    windows.Push(static_cast<uint32_t>(rng.Index(4)),
+                 MakeBag(std::move(ids)));
   }
   EXPECT_GT(churned.stats().compactions, 0u);
 
-  CandidateIndex fresh(kWindow);
-  for (size_t o = 0; o < windows.size(); ++o) {
-    for (const FlatBag& bag : windows[o]) {
-      fresh.AppendBag(static_cast<uint32_t>(o), bag);
-    }
+  CandidateIndex fresh;
+  for (size_t o = 0; o < windows.windows().size(); ++o) {
+    fresh.SetWindow(static_cast<uint32_t>(o), windows.windows()[o]);
   }
 
   sim::DenseTokenWeights weights;
@@ -221,11 +260,12 @@ TEST(CandidateIndexTest, WandEarlyExitSkipsTailAndReportsSlack) {
   // One object overlaps the query only through a low-cap tail term; with
   // a high theta the walk may stop early, but then the skipped mass is
   // surfaced as slack, keeping the bound sound.
-  CandidateIndex index(/*window=*/2);
+  CandidateIndex index;
+  Windows windows(&index, /*window=*/2);
   sim::DenseTokenWeights weights;
   weights.BuildUniform();
-  index.AppendBag(0, MakeBag({1, 1, 1, 2}));
-  index.AppendBag(1, MakeBag({3}));
+  windows.Push(0, MakeBag({1, 1, 1, 2}));
+  windows.Push(1, MakeBag({3}));
 
   FlatBag query = MakeBag({1, 1, 1, 3});
   RetrievalResult eager;
@@ -248,12 +288,12 @@ TEST(CandidateIndexTest, WandEarlyExitSkipsTailAndReportsSlack) {
 }
 
 TEST(CandidateIndexTest, ValidatorCatchesWindowDisagreement) {
-  CandidateIndex index(/*window=*/2);
-  index.AppendBag(0, MakeBag({1, 2}));
-
-  // Matching window: clean.
+  CandidateIndex index;
   std::deque<FlatBag> good;
   good.push_back(MakeBag({1, 2}));
+  index.SetWindow(0, good);
+
+  // Matching window: clean.
   {
     ValidationReport report;
     std::vector<const std::deque<FlatBag>*> windows{&good};
@@ -274,6 +314,15 @@ TEST(CandidateIndexTest, ValidatorCatchesWindowDisagreement) {
   {
     ValidationReport report;
     std::vector<const std::deque<FlatBag>*> windows{&empty_window};
+    ValidateCandidateIndex(index, windows, &report);
+    EXPECT_FALSE(report.ok());
+  }
+  // Same tokens plus an empty version the index never saw: flagged.
+  std::deque<FlatBag> with_empty = good;
+  with_empty.push_front(MakeBag({}));
+  {
+    ValidationReport report;
+    std::vector<const std::deque<FlatBag>*> windows{&with_empty};
     ValidateCandidateIndex(index, windows, &report);
     EXPECT_FALSE(report.ok());
   }
