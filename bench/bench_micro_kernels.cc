@@ -71,6 +71,17 @@ FlatBag InternBag(const BagOfWords& bag, TokenPool& pool) {
   return FlatBag::FromTokenIds(std::move(ids));
 }
 
+/// The matcher's IOF weights for a step where `bags` are both the
+/// tracked objects' newest bags and the incoming bags.
+sim::DenseTokenWeights IofWeights(const std::vector<const FlatBag*>& bags,
+                                  uint32_t pool_size) {
+  sim::DenseTokenWeights weights;
+  weights.ResetIncremental(pool_size);
+  for (const FlatBag* bag : bags) weights.AddPrevBag(*bag);
+  weights.BeginIncrementalStep(bags, pool_size);
+  return weights;
+}
+
 void BM_FlatRuzicka(benchmark::State& state) {
   Rng rng(1);
   int tokens = static_cast<int>(state.range(0));
@@ -89,8 +100,7 @@ void BM_FlatWeightedRuzicka(benchmark::State& state) {
   TokenPool pool;
   FlatBag a = InternBag(MakeBag(rng, tokens, tokens), pool);
   FlatBag b = InternBag(MakeBag(rng, tokens, tokens), pool);
-  sim::DenseTokenWeights weights;
-  weights.BuildInverseObjectFrequency({&a, &b}, {&a, &b}, pool.size());
+  sim::DenseTokenWeights weights = IofWeights({&a, &b}, pool.size());
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim::WeightedRuzicka(a, b, weights));
   }
@@ -114,28 +124,19 @@ std::vector<extract::PageObjects> MatcherBenchRevisions() {
   return revisions;
 }
 
-void RunMatcher(const std::vector<extract::PageObjects>& revisions,
-                bool use_flat) {
-  matching::MatcherConfig config;
-  config.use_flat_kernels = use_flat;
-  matching::TemporalMatcher matcher(extract::ObjectType::kTable, config);
+void RunMatcher(const std::vector<extract::PageObjects>& revisions) {
+  matching::TemporalMatcher matcher(extract::ObjectType::kTable);
   for (size_t r = 0; r < revisions.size(); ++r) {
     matcher.ProcessRevision(static_cast<int>(r), revisions[r].tables);
   }
   benchmark::DoNotOptimize(matcher.graph().objects().size());
 }
 
-void BM_MatchingStepLegacy(benchmark::State& state) {
+void BM_MatchingStep(benchmark::State& state) {
   auto revisions = MatcherBenchRevisions();
-  for (auto _ : state) RunMatcher(revisions, /*use_flat=*/false);
+  for (auto _ : state) RunMatcher(revisions);
 }
-BENCHMARK(BM_MatchingStepLegacy);
-
-void BM_MatchingStepFlat(benchmark::State& state) {
-  auto revisions = MatcherBenchRevisions();
-  for (auto _ : state) RunMatcher(revisions, /*use_flat=*/true);
-}
-BENCHMARK(BM_MatchingStepFlat);
+BENCHMARK(BM_MatchingStep);
 
 void BM_Hungarian(benchmark::State& state) {
   Rng rng(3);
@@ -268,42 +269,37 @@ double MeasureNsPerOp(int iters, const std::function<void()>& op) {
   return best;
 }
 
-/// Writes BENCH_matching.json: ns/op of the matcher's kernels before
-/// (legacy string-hash bags) and after (interned FlatBag merge-joins),
-/// the full matching step both ways, and FlatBag compilation per
-/// Socrata-sized table.
+/// Writes BENCH_matching.json: ns/op of the similarity kernels over
+/// string-hash bags (the reference matcher's building blocks) and over
+/// interned FlatBag merge-joins (the matcher's), the full matching step,
+/// and FlatBag compilation per Socrata-sized table.
 int WriteJsonReport(const std::string& path) {
   Rng rng(1);
   constexpr int kTokens = 256;
-  BagOfWords legacy_a = MakeBag(rng, kTokens, kTokens);
-  BagOfWords legacy_b = MakeBag(rng, kTokens, kTokens);
+  BagOfWords string_a = MakeBag(rng, kTokens, kTokens);
+  BagOfWords string_b = MakeBag(rng, kTokens, kTokens);
   sim::TokenWeighting weighting = sim::TokenWeighting::InverseObjectFrequency(
-      {&legacy_a, &legacy_b}, {&legacy_a, &legacy_b});
+      {&string_a, &string_b}, {&string_a, &string_b});
   TokenPool pool;
-  FlatBag flat_a = InternBag(legacy_a, pool);
-  FlatBag flat_b = InternBag(legacy_b, pool);
-  sim::DenseTokenWeights weights;
-  weights.BuildInverseObjectFrequency({&flat_a, &flat_b}, {&flat_a, &flat_b},
-                                      pool.size());
+  FlatBag flat_a = InternBag(string_a, pool);
+  FlatBag flat_b = InternBag(string_b, pool);
+  sim::DenseTokenWeights weights = IofWeights({&flat_a, &flat_b}, pool.size());
   auto revisions = MatcherBenchRevisions();
 
-  double sum_min_legacy = MeasureNsPerOp(2000, [&] {
-    benchmark::DoNotOptimize(sim::Ruzicka(legacy_a, legacy_b));
+  double sum_min_string = MeasureNsPerOp(2000, [&] {
+    benchmark::DoNotOptimize(sim::Ruzicka(string_a, string_b));
   });
   double sum_min_flat = MeasureNsPerOp(20000, [&] {
     benchmark::DoNotOptimize(sim::Ruzicka(flat_a, flat_b));
   });
-  double weighted_legacy = MeasureNsPerOp(2000, [&] {
+  double weighted_string = MeasureNsPerOp(2000, [&] {
     benchmark::DoNotOptimize(
-        sim::WeightedRuzicka(legacy_a, legacy_b, weighting));
+        sim::WeightedRuzicka(string_a, string_b, weighting));
   });
   double weighted_flat = MeasureNsPerOp(20000, [&] {
     benchmark::DoNotOptimize(sim::WeightedRuzicka(flat_a, flat_b, weights));
   });
-  double step_legacy =
-      MeasureNsPerOp(50, [&] { RunMatcher(revisions, /*use_flat=*/false); });
-  double step_flat =
-      MeasureNsPerOp(50, [&] { RunMatcher(revisions, /*use_flat=*/true); });
+  double step = MeasureNsPerOp(50, [&] { RunMatcher(revisions); });
   const std::vector<extract::ObjectInstance> tables = SocrataTables();
   TokenPool table_pool;
   BuildFlatBags(tables, table_pool);
@@ -320,22 +316,21 @@ int WriteJsonReport(const std::string& path) {
                "{\n"
                "  \"tokens_per_bag\": %d,\n"
                "  \"ns_per_op\": {\n"
-               "    \"sum_min_ruzicka\": {\"legacy\": %.1f, \"flat\": %.1f},\n"
-               "    \"weighted_ruzicka\": {\"legacy\": %.1f, \"flat\": %.1f},\n"
-               "    \"matching_step\": {\"legacy\": %.1f, \"flat\": %.1f},\n"
+               "    \"sum_min_ruzicka\": {\"string\": %.1f, \"flat\": %.1f},\n"
+               "    \"weighted_ruzicka\": {\"string\": %.1f, \"flat\": %.1f},\n"
+               "    \"matching_step\": %.1f,\n"
                "    \"build_flat_bag\": %.1f\n"
                "  }\n"
                "}\n",
-               kTokens, sum_min_legacy, sum_min_flat, weighted_legacy,
-               weighted_flat, step_legacy, step_flat, build_flat_bag);
+               kTokens, sum_min_string, sum_min_flat, weighted_string,
+               weighted_flat, step, build_flat_bag);
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
-  std::printf("sum_min_ruzicka   legacy %8.1f ns  flat %8.1f ns\n",
-              sum_min_legacy, sum_min_flat);
-  std::printf("weighted_ruzicka  legacy %8.1f ns  flat %8.1f ns\n",
-              weighted_legacy, weighted_flat);
-  std::printf("matching_step     legacy %8.1f ns  flat %8.1f ns\n",
-              step_legacy, step_flat);
+  std::printf("sum_min_ruzicka   string %8.1f ns  flat %8.1f ns\n",
+              sum_min_string, sum_min_flat);
+  std::printf("weighted_ruzicka  string %8.1f ns  flat %8.1f ns\n",
+              weighted_string, weighted_flat);
+  std::printf("matching_step     %8.1f ns\n", step);
   std::printf("build_flat_bag    %8.1f ns per Socrata table\n",
               build_flat_bag);
   return 0;

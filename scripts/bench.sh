@@ -1,11 +1,12 @@
 #!/bin/sh
 # Matching-kernel benchmark: builds the release preset and runs the micro
 # benchmarks in --json mode, writing BENCH_matching.json at the repo root
-# (ns/op for the similarity kernels and a full matching step, legacy vs
-# flat engine), then appends the executor thread-scaling sweep (per-page
-# and intra-step wall times at 1/2/4/8 workers, with the machine's
-# hardware_concurrency recorded alongside) and the candidate-generation
-# sweep (swept vs retrieval-index matching step at 10..10000 tracked
+# (ns/op for the similarity kernels over string and interned bags, and for
+# a full matching step), then appends the executor thread-scaling sweep
+# (per-page and intra-step wall times at 1/2/4/8 workers, with the
+# machine's hardware_concurrency recorded alongside) and the
+# candidate-generation sweep (retrieval-index matching step time and pairs
+# scored against tracked x incoming candidate pairs at 10..10000 tracked
 # objects, merged under ns_per_op.candidate_gen), and the somr_lint
 # analysis-pass full-tree runtime (ns_per_op.lint_analysis). Compare the
 # file across commits to catch hot-path regressions — the observability

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -12,9 +11,7 @@
 #include "matching/interface.h"
 #include "obs/provenance.h"
 #include "retrieval/candidate_index.h"
-#include "sim/minhash.h"
 #include "sim/similarity.h"
-#include "text/bag_of_words.h"
 #include "text/flat_bag.h"
 #include "text/token_pool.h"
 
@@ -62,53 +59,14 @@ struct MatcherConfig {
   bool enable_stage3 = true;
   /// Lifetime tie-breaker (prefer objects with longer histories).
   bool enable_lifetime_tiebreak = true;
-  /// Interned-token similarity engine: tokens are interned into a
-  /// per-matcher TokenPool, bags are compiled to sorted FlatBags, and
-  /// similarities run as merge-joins with a weighted-total upper-bound
-  /// prune. Exact — produces the same identity graph as the legacy
-  /// string-hash path, which is kept (flag off) as the reference
-  /// implementation for the equivalence test.
-  bool use_flat_kernels = true;
-  /// Optional MinHash/LSH candidate blocking for the non-local stages
-  /// (2 and 3), engaged only when |tracked| * |incoming| exceeds
-  /// lsh_min_pair_count. APPROXIMATE: pairs that share no LSH band are
-  /// never compared, which can drop low-similarity matches — see
-  /// DESIGN.md ("Similarity kernel & blocking") for when this is safe.
-  /// Off by default; below the pair threshold the matcher always falls
-  /// back to the exact all-pairs path. Flat engine only.
-  bool enable_lsh_blocking = false;
-  size_t lsh_min_pair_count = 4096;
-  int lsh_bands = 16;
-  int lsh_rows = 4;
-  /// Intra-step parallelism (flat engine, only with an Executor attached
-  /// via SetExecutor): when a stage's candidate-pair count reaches
+  /// Intra-step parallelism (only with an Executor attached via
+  /// SetExecutor): when a stage's candidate-pair count reaches
   /// parallel_min_pairs, the stage similarity matrix is filled with
   /// Executor::ParallelFor before the (always sequential) assignment
   /// solve. Exact — identity graphs and MatchStats counters are
-  /// byte-identical at any thread count, so these knobs are perf-only
-  /// and deliberately excluded from the snapshot config fingerprint.
-  bool enable_parallel_stages = true;
+  /// byte-identical at any thread count, so this knob is perf-only and
+  /// deliberately excluded from the snapshot config fingerprint.
   size_t parallel_min_pairs = 4096;
-  /// Inverted-index candidate retrieval (flat engine): each incoming
-  /// instance retrieves the tracked objects it shares tokens with from
-  /// an incremental inverted index (WAND-style early termination, see
-  /// src/retrieval/), instead of every stage sweeping all tracked
-  /// objects. Exact — candidates are filtered with sound upper bounds,
-  /// so identity graphs, stage counts and new-object counts are
-  /// byte-identical to the sweep; only work-rate counters
-  /// (similarities_computed, pairs_pruned/blocked) differ. Perf-only,
-  /// hence excluded from the snapshot config fingerprint like the
-  /// parallel knobs; the index itself is rebuilt from the rear-view
-  /// windows on snapshot restore rather than serialized.
-  bool enable_retrieval_index = true;
-  /// Structural-skeleton pre-filter (both engines): skip candidate pairs
-  /// whose shape signatures (object type + log-bucketed row count / row
-  /// width / schema size, src/retrieval/shape.h) differ, before any
-  /// bag-of-words scoring. APPROXIMATE: an object that changes shape
-  /// between revisions can lose its match (split identity), so this is
-  /// off by default and participates in the snapshot config fingerprint
-  /// like the LSH knobs.
-  bool enable_shape_prefilter = false;
   /// Bag-of-words construction options.
   extract::FeatureOptions features;
 };
@@ -131,11 +89,6 @@ struct MatchStats {
   /// Pairs skipped because the weighted-total upper bound proved the
   /// decayed similarity below the stage threshold (no merge-join run).
   size_t pairs_pruned = 0;
-  /// Pairs never compared because LSH blocking filtered them.
-  size_t pairs_blocked = 0;
-  /// Pairs never compared because the structural-skeleton pre-filter
-  /// (enable_shape_prefilter) rejected them.
-  size_t pairs_shape_filtered = 0;
 };
 
 /// Matches the object instances of one object type on one page across its
@@ -165,8 +118,8 @@ class TemporalMatcher : public RevisionMatcher {
   /// Attaches a work-stealing pool for intra-step parallelism (nullptr
   /// detaches — the matcher then runs fully sequentially). The executor
   /// must outlive every subsequent ProcessRevision call. Attaching one
-  /// never changes results, only wall time; see MatcherConfig's
-  /// enable_parallel_stages / parallel_min_pairs.
+  /// never changes results, only wall time; see
+  /// MatcherConfig::parallel_min_pairs.
   void SetExecutor(parallel::Executor* executor) { executor_ = executor; }
 
   /// Destructive accessors for pipeline code that owns the matcher and
@@ -190,17 +143,14 @@ class TemporalMatcher : public RevisionMatcher {
 
   struct Tracked {
     int64_t id = 0;
-    std::deque<BagOfWords> recent_bags;  // legacy engine: oldest..newest
-    std::deque<FlatBag> recent_flat;     // flat engine: oldest..newest
-    sim::MinHashSignature newest_sig;    // only kept for LSH blocking
-    uint64_t newest_shape = 0;           // shape signature, newest version
+    std::deque<FlatBag> recent_flat;  // rear-view window: oldest..newest
     int last_position = 0;
     int first_revision = 0;
     int last_revision = 0;
   };
 
   /// One matching stage's parameters, shared between the stage loop and
-  /// the candidate enumerators.
+  /// the candidate enumerator.
   struct StageSpec {
     int number = 0;             // 1..3, for stats and provenance
     bool local_only = false;    // stage 1: positional neighborhood only
@@ -210,60 +160,87 @@ class TemporalMatcher : public RevisionMatcher {
     const char* span_name = "";       // static, for SOMR_TRACE_SCOPE
   };
 
-  void ProcessRevisionFlat(
-      int revision_index,
-      const std::vector<extract::ObjectInstance>& instances);
-  void ProcessRevisionLegacy(
-      int revision_index,
-      const std::vector<extract::ObjectInstance>& instances);
+  /// Working state of one matching step: the incoming bags and totals,
+  /// the retrieval shortlists, the per-pair similarity caches and the
+  /// stage loop's bookkeeping. Built and consumed by the step functions
+  /// below and discarded when the step ends. Defined in matcher.cc.
+  struct StepScratch;
 
-  /// Runs the enabled matching stages over the unmatched pairs.
-  /// `enumerate(stage, tracked_matched, incoming_matched, &pairs)` fills
-  /// `pairs` with the stage's candidate pairs in ascending (tracked,
-  /// incoming) order — either the full sweep or the retrieval-index
-  /// shortlist; `sim_at_least(kind, threshold, ti, ni)` returns the
-  /// exact decayed similarity, or -infinity when the pair is provably
-  /// below `threshold`; `prefill(kind, threshold, pairs, out)` may fill
-  /// `out[k]` with the sim_at_least value of `pairs[k]` for the whole
-  /// stage at once (the intra-step parallel path) and return true, or
-  /// return false to keep the lazy per-pair path; `describe_pair(kind,
-  /// ti, ni, &decision)` fills the rear-view fields of a provenance
-  /// record (called only for candidate edges, and only while a
-  /// provenance sink is attached). `considered_per_ni` accumulates how
-  /// many candidate pairs each incoming instance appeared in across all
-  /// stages (provenance: candidates_considered).
-  template <typename EnumerateFn, typename SimFn, typename PrefillFn,
-            typename DescribeFn>
+  // One matching step (Algorithm 1), in the order ProcessRevision runs
+  // them:
+  //   PrepareBags -> RetrieveCandidates -> RunStages -> CommitAssignments
+  // where RunStages runs EnumerateStage -> ScoreStage -> AssignStage for
+  // each enabled stage.
+
+  /// Compiles the incoming instances into interned bags, overlays their
+  /// document frequencies on the IOF weights (Sec. IV-B2) and computes
+  /// their weighted totals.
+  void PrepareBags(const std::vector<extract::ObjectInstance>& instances,
+                   StepScratch& step);
+
+  /// Walks the retrieval index once per incoming instance and keeps, per
+  /// similarity kind, the tracked objects whose decayed similarity bound
+  /// reaches the lowest threshold of that kind (DESIGN.md §12). A kind
+  /// whose lowest threshold is <= 0 keeps every pair and is swept instead.
+  void RetrieveCandidates(StepScratch& step);
+
+  /// Runs the enabled stages over the still-unmatched pairs, recording
+  /// each accepted match in `step.assignment`.
   void RunStages(int revision_index,
                  const std::vector<extract::ObjectInstance>& instances,
-                 EnumerateFn&& enumerate, SimFn&& sim_at_least,
-                 PrefillFn&& prefill, DescribeFn&& describe_pair,
-                 std::vector<int64_t>& assignment,
-                 std::vector<uint32_t>& considered_per_ni);
+                 StepScratch& step);
 
-  /// Applies `assignment` to the graph: appends matched instances to
-  /// their objects, creates new objects for the rest (Alg. 1 line 7),
-  /// and updates each touched object's rear-view history via
-  /// `append_bag(tracked, ni)`.
-  template <typename AppendFn>
+  /// Fills `step.cands` with the stage's candidate pairs in ascending
+  /// (tracked, incoming) order: the retrieval shortlist re-filtered at
+  /// the stage threshold, or the full sweep.
+  void EnumerateStage(const StageSpec& stage,
+                      const std::vector<extract::ObjectInstance>& instances,
+                      StepScratch& step);
+
+  /// Fills `step.stage_sims[k]` with the decayed similarity of
+  /// `step.cands[k]`, or -infinity when the pair is provably below the
+  /// stage threshold. Large stages run on the attached executor.
+  void ScoreStage(const StageSpec& stage, StepScratch& step);
+
+  /// Offers every pair at or above the threshold to the assignment solve
+  /// with its tie-break bonus, applies the matching and records pair
+  /// provenance.
+  void AssignStage(const StageSpec& stage, int revision_index,
+                   const std::vector<extract::ObjectInstance>& instances,
+                   StepScratch& step);
+
+  /// Applies `step.assignment` to the graph: appends matched instances to
+  /// their objects, creates new objects for the rest (Alg. 1 line 7), and
+  /// rolls each touched object's rear-view window, retrieval postings and
+  /// previous-side IOF counts forward.
   void CommitAssignments(
       int revision_index,
       const std::vector<extract::ObjectInstance>& instances,
-      const std::vector<int64_t>& assignment,
-      const std::vector<uint32_t>& considered_per_ni,
-      AppendFn&& append_bag);
+      StepScratch& step);
+
+  // Per-pair kernels of the stage loop. All read the step's weights and
+  // the stamped history totals (EnsureHistoryTotals must have run for
+  // `ti` in this step).
+  void EnsureHistoryTotals(const StepScratch& step, size_t ti);
+  double HistoryTotal(const StepScratch& step, size_t ti, size_t h) const;
+  double PairBound(const StepScratch& step, size_t ti, size_t ni) const;
+  double IndexedBound(const StepScratch& step, sim::SimilarityKind kind,
+                      size_t ti, size_t ni, double overlap_bound) const;
+  double ExactSim(const StepScratch& step, sim::SimilarityKind kind,
+                  size_t ti, size_t ni, size_t* sims) const;
+  double SimProbe(StepScratch& step, sim::SimilarityKind kind,
+                  double threshold, size_t ti, size_t ni, size_t* sims,
+                  size_t* pruned) const;
+  void DescribePair(const StepScratch& step, sim::SimilarityKind kind,
+                    size_t ti, size_t ni, obs::MatchDecision* d) const;
 
   /// Rebuilds everything derivable from the core state (tracked windows,
   /// pool, config): the retrieval index and the incremental IOF document
-  /// frequencies. Called lazily before the first indexed step and by the
-  /// snapshot loader after restoring the core state — an index rebuilt
-  /// here retrieves identically to one maintained incrementally, which
-  /// is why snapshots don't serialize it.
+  /// frequencies. Called by the constructor and by the snapshot loader
+  /// after restoring the core state — an index rebuilt here retrieves
+  /// identically to one maintained incrementally, which is why snapshots
+  /// don't serialize it.
   void RebuildDerivedState();
-
-  double DecayedSim(sim::SimilarityKind kind, const Tracked& tracked,
-                    const BagOfWords& candidate,
-                    const sim::TokenWeighting& weighting);
 
   /// Tie-break perturbation added to a similarity score; strictly smaller
   /// than any meaningful similarity difference. The position and
@@ -286,22 +263,17 @@ class TemporalMatcher : public RevisionMatcher {
   // a restored matcher conservatively assumes well-formed history.
   bool input_positions_unique_ = true;
   std::vector<Tracked> tracked_;
-  TokenPool pool_;                   // flat engine: page-lifetime interning
-  sim::DenseTokenWeights weights_;   // flat engine: per-step IDF weights
-  /// Inverted index over the rear-view windows (flat engine, created
-  /// lazily when enable_retrieval_index; never serialized — see
+  TokenPool pool_;                  // page-lifetime interning
+  sim::DenseTokenWeights weights_;  // IOF weights, previous side kept live
+  /// Inverted index over the rear-view windows (never serialized — see
   /// RebuildDerivedState).
-  std::unique_ptr<retrieval::CandidateIndex> index_;
-  /// Lazy per-(tracked, window-slot) weighted totals for the indexed
-  /// path, stamped per step so only retrieval candidates pay for them
-  /// (the swept path precomputes a dense CSR instead). Stride is the
+  retrieval::CandidateIndex index_;
+  /// Lazy per-(tracked, window-slot) weighted totals, stamped per step so
+  /// only the objects a stage can touch pay for them. Stride is the
   /// rear-view window.
   std::vector<double> hist_total_cache_;
   std::vector<uint64_t> hist_total_stamp_;
   uint64_t step_serial_ = 0;
-  /// Candidate pairs enumerated across all stages of the last step (the
-  /// step provenance record's candidates_considered).
-  size_t last_step_candidates_ = 0;
   obs::ProvenanceSink* provenance_ = nullptr;  // optional, not owned
   parallel::Executor* executor_ = nullptr;     // optional, not owned
 };

@@ -174,10 +174,9 @@ void TemporalMatcher::Validate(ValidationReport* report) const {
       report->AddIssue("matching")
           << "tracked entry " << i << " carries id " << t.id;
     }
-    if (t.recent_bags.size() > window || t.recent_flat.size() > window) {
+    if (t.recent_flat.size() > window) {
       report->AddIssue("matching")
-          << "object " << t.id << " rear-view depth "
-          << std::max(t.recent_bags.size(), t.recent_flat.size())
+          << "object " << t.id << " rear-view depth " << t.recent_flat.size()
           << " exceeds window k=" << window;
     }
     const std::vector<TrackedObjectRecord>& objects = graph_.objects();
@@ -200,12 +199,10 @@ void TemporalMatcher::Validate(ValidationReport* report) const {
   }
   // Cross-check the retrieval index against the rear-view windows it
   // shadows (the "retrieval_index" registered validator).
-  if (index_ != nullptr) {
-    std::vector<const std::deque<FlatBag>*> windows;
-    windows.reserve(tracked_.size());
-    for (const Tracked& t : tracked_) windows.push_back(&t.recent_flat);
-    retrieval::ValidateCandidateIndex(*index_, windows, report);
-  }
+  std::vector<const std::deque<FlatBag>*> windows;
+  windows.reserve(tracked_.size());
+  for (const Tracked& t : tracked_) windows.push_back(&t.recent_flat);
+  retrieval::ValidateCandidateIndex(index_, windows, report);
 }
 
 void PageMatcher::Validate(ValidationReport* report) const {

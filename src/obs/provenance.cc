@@ -93,9 +93,8 @@ std::string MatchDecisionToJson(const MatchDecision& d) {
     case MatchDecision::Kind::kStep:
       std::snprintf(buf, sizeof(buf),
                     ", \"similarities\": %" PRIu64
-                    ", \"pairs_pruned\": %" PRIu64
-                    ", \"pairs_blocked\": %" PRIu64,
-                    d.similarities, d.pairs_pruned, d.pairs_blocked);
+                    ", \"pairs_pruned\": %" PRIu64,
+                    d.similarities, d.pairs_pruned);
       out += buf;
       std::snprintf(buf, sizeof(buf),
                     ", \"tracked\": %zu, \"incoming\": %zu",

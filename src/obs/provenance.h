@@ -53,7 +53,6 @@ struct MatchDecision {
   // Step records: counter deltas for this revision.
   uint64_t similarities = 0;
   uint64_t pairs_pruned = 0;
-  uint64_t pairs_blocked = 0;
   size_t tracked_objects = 0;
   size_t incoming_instances = 0;
 };

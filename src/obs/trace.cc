@@ -100,7 +100,7 @@ TraceRecorder& TraceRecorder::Global() {
 void TraceRecorder::Enable(size_t capacity) {
   std::lock_guard<std::mutex> lock(mu_);
   if (capacity == 0) capacity = 1;
-  ring_.assign(capacity, TraceEvent{});
+  ring_ = std::vector<Slot>(capacity);
   next_.store(0, std::memory_order_relaxed);
   g_tracing_enabled.store(true, std::memory_order_relaxed);
 }
@@ -111,7 +111,9 @@ void TraceRecorder::Disable() {
 
 void TraceRecorder::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (TraceEvent& e : ring_) e = TraceEvent{};
+  // A slot's fields are only read while its sequence number names a
+  // published event, so resetting the sequence numbers empties the ring.
+  for (Slot& slot : ring_) slot.seq.store(0, std::memory_order_relaxed);
   next_.store(0, std::memory_order_relaxed);
 }
 
@@ -123,13 +125,28 @@ void TraceRecorder::Record(const char* name, const char* cat,
   const size_t capacity = ring_.size();
   if (capacity == 0) return;
   const uint64_t index = next_.fetch_add(1, std::memory_order_relaxed);
-  TraceEvent& slot = ring_[index % capacity];
-  slot.name = name;
-  slot.cat = cat;
-  slot.tid = LocalThreadId();
-  slot.start_ns = start_ns;
-  slot.dur_ns = dur_ns;
-  slot.trace_id = trace_id;
+  Slot& slot = ring_[index % capacity];
+  // Claim the slot for this lap. When a writer of another lap is still
+  // filling it, or a later lap already published it, this event is
+  // dropped rather than interleaved with that writer's fields.
+  const uint64_t busy = 2 * index + 1;
+  uint64_t seen = slot.seq.load(std::memory_order_relaxed);
+  if ((seen & 1) != 0 || seen > busy ||
+      !slot.seq.compare_exchange_strong(seen, busy,
+                                        std::memory_order_relaxed)) {
+    return;
+  }
+  // Release field stores pair with the reader's acquire field loads: a
+  // reader that sees any field of this write also sees the busy mark
+  // on its re-check (no standalone fences, which ThreadSanitizer cannot
+  // model).
+  slot.name.store(name, std::memory_order_release);
+  slot.cat.store(cat, std::memory_order_release);
+  slot.tid.store(LocalThreadId(), std::memory_order_release);
+  slot.start_ns.store(start_ns, std::memory_order_release);
+  slot.dur_ns.store(dur_ns, std::memory_order_release);
+  slot.trace_id.store(trace_id, std::memory_order_release);
+  slot.seq.store(busy + 1, std::memory_order_release);
 }
 
 size_t TraceRecorder::dropped() const {
@@ -146,12 +163,22 @@ std::vector<TraceEvent> TraceRecorder::Events() const {
   if (capacity == 0 || written == 0) return events;
   const size_t count = written < capacity ? written : capacity;
   events.reserve(count);
-  // Oldest retained event first. When wrapped, that is slot `written %
-  // capacity` (the slot the next write would overwrite).
-  const size_t start = written < capacity ? 0 : written % capacity;
-  for (size_t i = 0; i < count; ++i) {
-    const TraceEvent& e = ring_[(start + i) % capacity];
-    if (e.name != nullptr) events.push_back(e);
+  // Oldest retained event first: event `written - count + i` lives in
+  // slot `(written - count + i) % capacity`. A slot is kept only if it
+  // holds exactly that event, published, before and after the copy.
+  for (uint64_t index = written - count; index < written; ++index) {
+    const Slot& slot = ring_[index % capacity];
+    const uint64_t published = 2 * index + 2;
+    if (slot.seq.load(std::memory_order_acquire) != published) continue;
+    TraceEvent e;
+    e.name = slot.name.load(std::memory_order_acquire);
+    e.cat = slot.cat.load(std::memory_order_acquire);
+    e.tid = slot.tid.load(std::memory_order_acquire);
+    e.start_ns = slot.start_ns.load(std::memory_order_acquire);
+    e.dur_ns = slot.dur_ns.load(std::memory_order_acquire);
+    e.trace_id = slot.trace_id.load(std::memory_order_acquire);
+    if (slot.seq.load(std::memory_order_relaxed) != published) continue;
+    events.push_back(e);
   }
   return events;
 }

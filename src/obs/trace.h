@@ -66,9 +66,12 @@ uint64_t ParseTraceIdHex(const std::string& hex);
 
 /// Process-wide lock-free ring buffer of completed spans. Writers claim
 /// slots with one fetch_add; when the ring wraps, the oldest events are
-/// overwritten and counted in dropped(). Export is meant to run after
-/// the traced workload quiesces (in-flight writers can tear the events
-/// they are concurrently overwriting).
+/// overwritten and counted in dropped(). Each slot carries a sequence
+/// number (a seqlock): a writer marks its slot busy, stores the fields
+/// and publishes the slot for its lap, and readers copy a slot only if
+/// its sequence number names the expected lap before and after the copy,
+/// so an export running beside live writers never returns a torn event
+/// (it skips slots that are mid-write or already overwritten).
 class TraceRecorder {
  public:
   static TraceRecorder& Global();
@@ -100,11 +103,24 @@ class TraceRecorder {
  private:
   TraceRecorder() = default;
 
+  /// One ring slot. `seq` is 0 before the first write, 2 * index + 1
+  /// while the writer of event `index` fills the fields, and
+  /// 2 * index + 2 once that event is published.
+  struct Slot {
+    std::atomic<uint64_t> seq{0};
+    std::atomic<const char*> name{nullptr};
+    std::atomic<const char*> cat{nullptr};
+    std::atomic<uint32_t> tid{0};
+    std::atomic<int64_t> start_ns{0};
+    std::atomic<int64_t> dur_ns{0};
+    std::atomic<uint64_t> trace_id{0};
+  };
+
   mutable std::mutex mu_;  // guards resize (Enable/Clear) only
-  // Deliberately lock-free: writers claim slots via next_ and store
-  // into ring_ without mu_ (torn reads during export are documented
-  // above). mu_ only serialises resizes against each other.
-  std::vector<TraceEvent> ring_ SOMR_NOT_GUARDED;
+  // Deliberately lock-free: writers claim slots via next_ and publish
+  // them through the per-slot sequence numbers, without mu_. mu_ only
+  // serialises resizes against each other and against exports.
+  std::vector<Slot> ring_ SOMR_NOT_GUARDED;
   std::atomic<uint64_t> next_{0};
 };
 

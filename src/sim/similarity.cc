@@ -117,40 +117,6 @@ double Similarity(SimilarityKind kind, const BagOfWords& a,
   return 0.0;
 }
 
-void DenseTokenWeights::BuildInverseObjectFrequency(
-    const std::vector<const FlatBag*>& previous,
-    const std::vector<const FlatBag*>& incoming, uint32_t pool_size) {
-  for (uint32_t id : touched_) {
-    weights_[id] = 1.0;
-    prev_df_[id] = 0;
-    new_df_[id] = 0;
-  }
-  touched_.clear();
-  if (weights_.size() < pool_size) {
-    weights_.resize(pool_size, 1.0);
-    prev_df_.resize(pool_size, 0);
-    new_df_.resize(pool_size, 0);
-  }
-  auto count = [this](const std::vector<const FlatBag*>& bags,
-                      std::vector<int32_t>& df) {
-    for (const FlatBag* bag : bags) {
-      for (const FlatEntry& e : bag->entries()) {
-        if (prev_df_[e.id] == 0 && new_df_[e.id] == 0) {
-          touched_.push_back(e.id);
-        }
-        ++df[e.id];
-      }
-    }
-  };
-  count(previous, prev_df_);
-  count(incoming, new_df_);
-  for (uint32_t id : touched_) {
-    int32_t denom = std::max(prev_df_[id], new_df_[id]);
-    if (denom > 1) weights_[id] = 1.0 / denom;
-  }
-  uniform_ = false;
-}
-
 void DenseTokenWeights::EnsureSize(uint32_t pool_size) {
   if (weights_.size() < pool_size) {
     weights_.resize(pool_size, 1.0);
@@ -163,14 +129,12 @@ void DenseTokenWeights::ResetIncremental(uint32_t pool_size) {
   weights_.assign(pool_size, 1.0);
   prev_df_.assign(pool_size, 0);
   new_df_.assign(pool_size, 0);
-  touched_.clear();
   overlay_.clear();
   uniform_ = false;
-  incremental_ = true;
 }
 
 void DenseTokenWeights::AddPrevBag(const FlatBag& bag) {
-  SOMR_DCHECK(incremental_);
+  SOMR_DCHECK(!uniform_);
   if (bag.empty()) return;
   EnsureSize(bag.entries().back().id + 1);
   for (const FlatEntry& e : bag.entries()) {
@@ -180,7 +144,7 @@ void DenseTokenWeights::AddPrevBag(const FlatBag& bag) {
 }
 
 void DenseTokenWeights::RemovePrevBag(const FlatBag& bag) {
-  SOMR_DCHECK(incremental_);
+  SOMR_DCHECK(!uniform_);
   for (const FlatEntry& e : bag.entries()) {
     int32_t df = --prev_df_[e.id];
     SOMR_DCHECK_GE(df, 0);
@@ -190,7 +154,7 @@ void DenseTokenWeights::RemovePrevBag(const FlatBag& bag) {
 
 void DenseTokenWeights::BeginIncrementalStep(
     const std::vector<const FlatBag*>& incoming, uint32_t pool_size) {
-  SOMR_DCHECK(incremental_);
+  SOMR_DCHECK(!uniform_);
   EnsureSize(pool_size);
   // Revert the previous step's overlay to the pure previous-side weights.
   for (uint32_t id : overlay_) {

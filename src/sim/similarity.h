@@ -38,24 +38,21 @@ class TokenWeighting {
 
 /// Dense, id-indexed form of TokenWeighting for the interned-token
 /// similarity kernels: weights live in a flat vector indexed by token id,
-/// so a lookup is one load instead of a string hash. The backing vector
-/// and the document-frequency scratch persist across matching steps and
-/// are reset lazily (only the ids touched by the previous step), which
-/// keeps the per-step cost proportional to the tokens actually in play
-/// rather than the whole pool.
+/// so a lookup is one load instead of a string hash.
+///
+/// The matcher maintains the previous-side document frequencies across
+/// steps instead of recounting every tracked object's newest bag:
+/// AddPrevBag/RemovePrevBag follow newest-bag transitions at commit time,
+/// and BeginIncrementalStep overlays the incoming side for one matching
+/// step. The stored weights equal what TokenWeighting::
+/// InverseObjectFrequency computes from the same previous/incoming bags
+/// (same integer denominators, same 1/denom doubles).
 class DenseTokenWeights {
  public:
   DenseTokenWeights() = default;
 
-  /// Every token weighs 1 (IDF weighting disabled).
+  /// Every token weighs 1 (IDF weighting disabled). The default state.
   void BuildUniform() { uniform_ = true; }
-
-  /// Computes the inverse-object-frequency weighting for one matching
-  /// step, equivalent to TokenWeighting::InverseObjectFrequency but over
-  /// interned ids. `pool_size` must cover every id in the given bags.
-  void BuildInverseObjectFrequency(const std::vector<const FlatBag*>& previous,
-                                   const std::vector<const FlatBag*>& incoming,
-                                   uint32_t pool_size);
 
   bool IsUniform() const { return uniform_; }
 
@@ -64,19 +61,7 @@ class DenseTokenWeights {
     return uniform_ || id >= weights_.size() ? 1.0 : weights_[id];
   }
 
-  // --- Incremental IOF mode (retrieval-index engine) --------------------
-  //
-  // The indexed matcher maintains the previous-side document frequencies
-  // across steps instead of recounting every tracked object's newest bag:
-  // AddPrevBag/RemovePrevBag follow newest-bag transitions at commit time,
-  // and BeginIncrementalStep overlays the incoming side for one matching
-  // step. The stored weight values are identical to what
-  // BuildInverseObjectFrequency computes from the same previous/incoming
-  // bags (same integer denominators, same 1/denom doubles), so both
-  // engines score with bit-identical weights. A DenseTokenWeights
-  // instance is either batch-built or incremental, never both.
-
-  /// Clears all state and enters incremental mode.
+  /// Clears all document frequencies and switches to IOF weighting.
   void ResetIncremental(uint32_t pool_size);
 
   /// Registers / unregisters one object's newest bag on the previous side.
@@ -95,11 +80,9 @@ class DenseTokenWeights {
   void EnsureSize(uint32_t pool_size);
 
   std::vector<double> weights_;            // per id, default 1.0
-  std::vector<int32_t> prev_df_, new_df_;  // per-step scratch, default 0
-  std::vector<uint32_t> touched_;          // ids dirtied by the last build
+  std::vector<int32_t> prev_df_, new_df_;  // document frequencies
   std::vector<uint32_t> overlay_;          // ids of the current step overlay
   bool uniform_ = true;
-  bool incremental_ = false;
 };
 
 /// Generalized Jaccard (Ruzicka) similarity of two weighted multisets:
@@ -140,8 +123,9 @@ double DecayedSimilarity(SimilarityKind kind,
 // (id, count) arrays. With uniform weights they produce bit-identical
 // values to the BagOfWords kernels (the sums are exact); with IDF weights
 // they sum the same terms in id order instead of hash order, so values
-// agree to rounding error (and the matcher decisions agree — see the
-// equivalence test).
+// agree to rounding error. The string-bag kernels stay as the building
+// blocks of the naive Alg. 1 reference the matcher is tested against
+// (tests/matching/reference_matcher.h).
 
 /// Sum over tokens of min(count_a, count_b).
 double SumMin(const FlatBag& a, const FlatBag& b);

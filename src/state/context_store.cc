@@ -62,8 +62,11 @@ const SnapshotMetrics& GetSnapshotMetrics() {
 }
 
 constexpr const char* kManifestName = "manifest.tsv";
-constexpr const char* kManifestHeader = "# somr-context-store v2";
+// v3: records are snapshot format v4 (see kFormatVersion). Stores
+// written under an older header hold records this build cannot read.
+constexpr const char* kManifestHeader = "# somr-context-store v3";
 constexpr const char* kManifestHeaderV1 = "# somr-context-store v1";
+constexpr const char* kManifestHeaderV2 = "# somr-context-store v2";
 
 }  // namespace
 
@@ -113,17 +116,22 @@ Status ContextStore::Open(bool create) {
     return Status::ParseError(manifest_path + ": not a context-store "
                               "manifest");
   }
-  if (line.rfind(kManifestHeaderV1, 0) == 0) {
+  if (line.rfind(kManifestHeaderV1, 0) == 0 ||
+      line.rfind(kManifestHeaderV2, 0) == 0) {
+    const bool v1 = line.rfind(kManifestHeaderV1, 0) == 0;
     return Status::InvalidArgument(
-        "context store at " + dir_ + " uses the v1 one-file-per-page "
-        "layout, which predates the record log; re-ingest its dumps "
-        "into a fresh store to migrate (see DESIGN.md §15)");
+        "context store at " + dir_ +
+        (v1 ? " uses the v1 one-file-per-page layout, which predates the "
+              "record log"
+            : " holds v3 snapshot records, which predate format v4") +
+        "; re-ingest its dumps into a fresh store to migrate (see "
+        "DESIGN.md §15)");
   }
   if (line.rfind(kManifestHeader, 0) != 0) {
     return Status::ParseError(manifest_path + ": not a context-store "
                               "manifest");
   }
-  // Header carries the fingerprint: "# somr-context-store v2 config=<hex>".
+  // Header carries the fingerprint: "# somr-context-store v3 config=<hex>".
   const std::string marker = "config=";
   size_t at = line.find(marker);
   if (at == std::string::npos) {

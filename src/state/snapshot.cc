@@ -13,16 +13,6 @@ namespace somr::state {
 
 namespace {
 
-constexpr char kMagic[8] = {'S', 'O', 'M', 'R', 'S', 'N', 'A', 'P'};
-constexpr char kDeltaMagic[8] = {'S', 'O', 'M', 'R', 'D', 'E', 'L', 'T'};
-// v2: tracked objects carry their newest-version shape signature and
-// MatchStats carries pairs_shape_filtered (PR 6).
-// v3: record-log era — full snapshots are unchanged on the wire, but a
-// sibling "SOMRDELT" container (same section framing) can now follow a
-// full record in a context chain, so v2 readers must not load v3
-// stores. v2 stores migrate by re-ingesting (see DESIGN.md §15).
-constexpr uint32_t kFormatVersion = 3;
-
 // Section tags. Unknown tags are skipped on load (additive evolution
 // within one format version); missing required sections are an error.
 constexpr uint32_t kSectionMeta = 1;
@@ -82,34 +72,6 @@ Status ReadInstance(ByteReader& r, extract::ObjectInstance* obj) {
   return ReadStringVec(r, &obj->schema);
 }
 
-void AppendBag(const BagOfWords& bag, ByteWriter& w) {
-  // Sorted entries: the on-disk bytes are independent of the source
-  // map's hash order, so identical bags produce identical snapshots.
-  std::vector<std::pair<std::string, double>> entries = bag.SortedEntries();
-  w.U64(entries.size());
-  for (const auto& [token, count] : entries) {
-    w.Str(token);
-    w.F64(count);
-  }
-}
-
-Status ReadBag(ByteReader& r, BagOfWords* bag) {
-  uint64_t count = 0;
-  SOMR_RETURN_IF_ERROR(r.Count(&count, 16));
-  *bag = BagOfWords();
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string token;
-    double weight = 0.0;
-    SOMR_RETURN_IF_ERROR(r.Str(&token));
-    SOMR_RETURN_IF_ERROR(r.F64(&weight));
-    if (!(weight > 0.0)) {
-      return Status::ParseError("snapshot corrupt: non-positive bag count");
-    }
-    bag->Add(token, weight);
-  }
-  return Status::OK();
-}
-
 void AppendFlatBag(const FlatBag& bag, ByteWriter& w) {
   w.U64(bag.entries().size());
   for (const FlatEntry& e : bag.entries()) {
@@ -150,31 +112,25 @@ void AppendStats(const matching::MatchStats& stats, ByteWriter& w) {
   w.U64(stats.stage3_matches);
   w.U64(stats.new_objects);
   w.U64(stats.pairs_pruned);
-  w.U64(stats.pairs_blocked);
-  w.U64(stats.pairs_shape_filtered);
   w.U64(stats.step_millis.size());
   for (double ms : stats.step_millis) w.F64(ms);
 }
 
 Status ReadStats(ByteReader& r, matching::MatchStats* stats) {
   uint64_t similarities = 0, s1 = 0, s2 = 0, s3 = 0;
-  uint64_t new_objects = 0, pruned = 0, blocked = 0, shape_filtered = 0;
+  uint64_t new_objects = 0, pruned = 0;
   SOMR_RETURN_IF_ERROR(r.U64(&similarities));
   SOMR_RETURN_IF_ERROR(r.U64(&s1));
   SOMR_RETURN_IF_ERROR(r.U64(&s2));
   SOMR_RETURN_IF_ERROR(r.U64(&s3));
   SOMR_RETURN_IF_ERROR(r.U64(&new_objects));
   SOMR_RETURN_IF_ERROR(r.U64(&pruned));
-  SOMR_RETURN_IF_ERROR(r.U64(&blocked));
-  SOMR_RETURN_IF_ERROR(r.U64(&shape_filtered));
   stats->similarities_computed = similarities;
   stats->stage1_matches = s1;
   stats->stage2_matches = s2;
   stats->stage3_matches = s3;
   stats->new_objects = new_objects;
   stats->pairs_pruned = pruned;
-  stats->pairs_blocked = blocked;
-  stats->pairs_shape_filtered = shape_filtered;
   uint64_t steps = 0;
   SOMR_RETURN_IF_ERROR(r.Count(&steps, 8));
   stats->step_millis.clear();
@@ -245,13 +201,8 @@ class MatcherSerde {
     w.U32(static_cast<uint32_t>(t.last_position));
     w.U32(static_cast<uint32_t>(t.first_revision));
     w.U32(static_cast<uint32_t>(t.last_revision));
-    w.U64(t.newest_shape);
     w.U64(t.recent_flat.size());
     for (const FlatBag& bag : t.recent_flat) AppendFlatBag(bag, w);
-    w.U64(t.recent_bags.size());
-    for (const BagOfWords& bag : t.recent_bags) AppendBag(bag, w);
-    w.U64(t.newest_sig.size());
-    for (uint64_t h : t.newest_sig) w.U64(h);
   }
 
   static Status ReadTrackedPayload(ByteReader& r, uint64_t pool_size,
@@ -263,7 +214,6 @@ class MatcherSerde {
     t->last_position = static_cast<int>(last_position);
     t->first_revision = static_cast<int>(first_revision);
     t->last_revision = static_cast<int>(last_revision);
-    SOMR_RETURN_IF_ERROR(r.U64(&t->newest_shape));
 
     uint64_t flat_count = 0;
     SOMR_RETURN_IF_ERROR(r.Count(&flat_count, 8));
@@ -278,25 +228,6 @@ class MatcherSerde {
         }
       }
       t->recent_flat.push_back(std::move(bag));
-    }
-
-    uint64_t bag_count = 0;
-    SOMR_RETURN_IF_ERROR(r.Count(&bag_count, 8));
-    t->recent_bags.clear();
-    for (uint64_t b = 0; b < bag_count; ++b) {
-      BagOfWords bag;
-      SOMR_RETURN_IF_ERROR(ReadBag(r, &bag));
-      t->recent_bags.push_back(std::move(bag));
-    }
-
-    uint64_t sig_size = 0;
-    SOMR_RETURN_IF_ERROR(r.Count(&sig_size, 8));
-    t->newest_sig.clear();
-    t->newest_sig.reserve(static_cast<size_t>(sig_size));
-    for (uint64_t s = 0; s < sig_size; ++s) {
-      uint64_t h = 0;
-      SOMR_RETURN_IF_ERROR(r.U64(&h));
-      t->newest_sig.push_back(h);
     }
     return Status::OK();
   }
@@ -313,7 +244,6 @@ class MatcherSerde {
     w.U32(static_cast<uint32_t>(t.last_position));
     w.U32(static_cast<uint32_t>(t.first_revision));
     w.U32(static_cast<uint32_t>(t.last_revision));
-    w.U64(t.newest_shape);
 
     const uint64_t flat_sent =
         std::min<uint64_t>(tail_count, t.recent_flat.size());
@@ -323,18 +253,6 @@ class MatcherSerde {
          i < t.recent_flat.size(); ++i) {
       AppendFlatBag(t.recent_flat[i], w);
     }
-
-    const uint64_t bag_sent =
-        std::min<uint64_t>(tail_count, t.recent_bags.size());
-    w.U64(t.recent_bags.size());
-    w.U64(bag_sent);
-    for (size_t i = t.recent_bags.size() - static_cast<size_t>(bag_sent);
-         i < t.recent_bags.size(); ++i) {
-      AppendBag(t.recent_bags[i], w);
-    }
-
-    w.U64(t.newest_sig.size());
-    for (uint64_t h : t.newest_sig) w.U64(h);
   }
 
   static Status ReadTrackedPayloadTail(
@@ -347,7 +265,6 @@ class MatcherSerde {
     t->last_position = static_cast<int>(last_position);
     t->first_revision = static_cast<int>(first_revision);
     t->last_revision = static_cast<int>(last_revision);
-    SOMR_RETURN_IF_ERROR(r.U64(&t->newest_shape));
 
     uint64_t flat_final = 0, flat_sent = 0;
     SOMR_RETURN_IF_ERROR(r.U64(&flat_final));
@@ -371,33 +288,6 @@ class MatcherSerde {
       t->recent_flat.push_back(std::move(bag));
     }
     while (t->recent_flat.size() > flat_final) t->recent_flat.pop_front();
-
-    uint64_t bag_final = 0, bag_sent = 0;
-    SOMR_RETURN_IF_ERROR(r.U64(&bag_final));
-    SOMR_RETURN_IF_ERROR(r.Count(&bag_sent, 8));
-    if (bag_sent != std::min(tail_count, bag_final)) {
-      return Status::ParseError("delta corrupt: bag window tail count");
-    }
-    if (t->recent_bags.size() + bag_sent < bag_final) {
-      return Status::ParseError(
-          "delta corrupt: bag window longer than base plus its tail");
-    }
-    for (uint64_t b = 0; b < bag_sent; ++b) {
-      BagOfWords bag;
-      SOMR_RETURN_IF_ERROR(ReadBag(r, &bag));
-      t->recent_bags.push_back(std::move(bag));
-    }
-    while (t->recent_bags.size() > bag_final) t->recent_bags.pop_front();
-
-    uint64_t sig_size = 0;
-    SOMR_RETURN_IF_ERROR(r.Count(&sig_size, 8));
-    t->newest_sig.clear();
-    t->newest_sig.reserve(static_cast<size_t>(sig_size));
-    for (uint64_t s = 0; s < sig_size; ++s) {
-      uint64_t h = 0;
-      SOMR_RETURN_IF_ERROR(r.U64(&h));
-      t->newest_sig.push_back(h);
-    }
     return Status::OK();
   }
 
@@ -471,8 +361,6 @@ class MatcherSerde {
     w.U64(m.stats_.stage3_matches);
     w.U64(m.stats_.new_objects);
     w.U64(m.stats_.pairs_pruned);
-    w.U64(m.stats_.pairs_blocked);
-    w.U64(m.stats_.pairs_shape_filtered);
     w.U64(m.stats_.step_millis.size() - base.step_count);
     for (size_t i = static_cast<size_t>(base.step_count);
          i < m.stats_.step_millis.size(); ++i) {
@@ -578,7 +466,7 @@ class MatcherSerde {
       }
     }
 
-    uint64_t scalars[8] = {};
+    uint64_t scalars[6] = {};
     for (uint64_t& v : scalars) SOMR_RETURN_IF_ERROR(r.U64(&v));
     m.stats_.similarities_computed = scalars[0];
     m.stats_.stage1_matches = scalars[1];
@@ -586,8 +474,6 @@ class MatcherSerde {
     m.stats_.stage3_matches = scalars[3];
     m.stats_.new_objects = scalars[4];
     m.stats_.pairs_pruned = scalars[5];
-    m.stats_.pairs_blocked = scalars[6];
-    m.stats_.pairs_shape_filtered = scalars[7];
     uint64_t step_tail = 0;
     SOMR_RETURN_IF_ERROR(r.Count(&step_tail, 8));
     for (uint64_t i = 0; i < step_tail; ++i) {
@@ -623,16 +509,7 @@ class MatcherSerde {
     w.U64(m.tracked_.size());
     for (const auto& t : m.tracked_) {
       w.I64(t.id);
-      w.U32(static_cast<uint32_t>(t.last_position));
-      w.U32(static_cast<uint32_t>(t.first_revision));
-      w.U32(static_cast<uint32_t>(t.last_revision));
-      w.U64(t.newest_shape);
-      w.U64(t.recent_flat.size());
-      for (const FlatBag& bag : t.recent_flat) AppendFlatBag(bag, w);
-      w.U64(t.recent_bags.size());
-      for (const BagOfWords& bag : t.recent_bags) AppendBag(bag, w);
-      w.U64(t.newest_sig.size());
-      for (uint64_t h : t.newest_sig) w.U64(h);
+      AppendTrackedPayload(t, w);
     }
 
     AppendStats(m.stats_, w);
@@ -691,7 +568,7 @@ class MatcherSerde {
 
     m.tracked_.clear();
     uint64_t tracked_count = 0;
-    SOMR_RETURN_IF_ERROR(r.Count(&tracked_count, 52));
+    SOMR_RETURN_IF_ERROR(r.Count(&tracked_count, 28));
     if (tracked_count != object_count) {
       return Status::ParseError(
           "snapshot corrupt: tracked count != identity graph objects");
@@ -704,46 +581,7 @@ class MatcherSerde {
         return Status::ParseError(
             "snapshot corrupt: tracked id out of order");
       }
-      uint32_t last_position = 0, first_revision = 0, last_revision = 0;
-      SOMR_RETURN_IF_ERROR(r.U32(&last_position));
-      SOMR_RETURN_IF_ERROR(r.U32(&first_revision));
-      SOMR_RETURN_IF_ERROR(r.U32(&last_revision));
-      t.last_position = static_cast<int>(last_position);
-      t.first_revision = static_cast<int>(first_revision);
-      t.last_revision = static_cast<int>(last_revision);
-      SOMR_RETURN_IF_ERROR(r.U64(&t.newest_shape));
-
-      uint64_t flat_count = 0;
-      SOMR_RETURN_IF_ERROR(r.Count(&flat_count, 8));
-      for (uint64_t b = 0; b < flat_count; ++b) {
-        FlatBag bag;
-        SOMR_RETURN_IF_ERROR(ReadFlatBag(r, &bag));
-        for (const FlatEntry& e : bag.entries()) {
-          if (e.id >= m.pool_.size()) {
-            return Status::ParseError(
-                "snapshot corrupt: flat bag id outside token pool");
-          }
-        }
-        t.recent_flat.push_back(std::move(bag));
-      }
-
-      uint64_t bag_count = 0;
-      SOMR_RETURN_IF_ERROR(r.Count(&bag_count, 8));
-      for (uint64_t b = 0; b < bag_count; ++b) {
-        BagOfWords bag;
-        SOMR_RETURN_IF_ERROR(ReadBag(r, &bag));
-        t.recent_bags.push_back(std::move(bag));
-      }
-
-      uint64_t sig_size = 0;
-      SOMR_RETURN_IF_ERROR(r.Count(&sig_size, 8));
-      t.newest_sig.reserve(static_cast<size_t>(sig_size));
-      for (uint64_t s = 0; s < sig_size; ++s) {
-        uint64_t h = 0;
-        SOMR_RETURN_IF_ERROR(r.U64(&h));
-        t.newest_sig.push_back(h);
-      }
-
+      SOMR_RETURN_IF_ERROR(ReadTrackedPayload(r, m.pool_.size(), &t));
       m.tracked_.push_back(std::move(t));
     }
 
@@ -759,10 +597,9 @@ class MatcherSerde {
 
 uint64_t ConfigFingerprint(const matching::MatcherConfig& config) {
   ByteWriter w;
-  // v2: enable_shape_prefilter joined the fingerprint (approximate knob,
-  // like LSH). enable_retrieval_index stays out — it is exact/perf-only,
-  // like the parallel knobs.
-  w.Str("somr-matcher-config-v2");
+  // v3: the engine, LSH and shape pre-filter knobs left MatcherConfig.
+  // parallel_min_pairs stays out — it is perf-only.
+  w.Str("somr-matcher-config-v3");
   w.I64(config.theta_pos);
   w.F64(config.theta1);
   w.F64(config.theta2);
@@ -775,12 +612,6 @@ uint64_t ConfigFingerprint(const matching::MatcherConfig& config) {
   w.U8(config.enable_stage2);
   w.U8(config.enable_stage3);
   w.U8(config.enable_lifetime_tiebreak);
-  w.U8(config.use_flat_kernels);
-  w.U8(config.enable_lsh_blocking);
-  w.U64(config.lsh_min_pair_count);
-  w.I64(config.lsh_bands);
-  w.I64(config.lsh_rows);
-  w.U8(config.enable_shape_prefilter);
   w.U64(config.features.element_token_limit);
   w.U8(config.features.include_section_headers);
   w.U8(config.features.include_caption);

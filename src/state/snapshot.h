@@ -40,6 +40,20 @@ struct PageState {
   std::vector<UnixSeconds> timestamps;
 };
 
+/// Container constants shared by the snapshot codec and the offline
+/// validator (src/state/validate.h). Full snapshots and delta records use
+/// the same framing and version; only the magic differs.
+inline constexpr char kMagic[8] = {'S', 'O', 'M', 'R', 'S', 'N', 'A', 'P'};
+inline constexpr char kDeltaMagic[8] = {'S', 'O', 'M', 'R',
+                                        'D', 'E', 'L', 'T'};
+/// v2: tracked objects carried a shape signature, stats a shape-filter
+/// counter. v3: record-log era — a "SOMRDELT" delta can follow a full
+/// record in a context chain. v4: tracked objects carry only their
+/// interned rear-view window (no string bags, MinHash signature or shape
+/// signature) and stats drop the blocked and shape-filtered counters.
+/// Older stores migrate by re-ingesting (see DESIGN.md §15).
+inline constexpr uint32_t kFormatVersion = 4;
+
 /// Stable 64-bit fingerprint of every matching-relevant config field.
 /// Snapshots written under one fingerprint refuse to load under another:
 /// resuming a stream with different thresholds/windows would silently

@@ -9,14 +9,6 @@
 
 namespace somr::state {
 
-namespace {
-
-constexpr char kMagic[8] = {'S', 'O', 'M', 'R', 'S', 'N', 'A', 'P'};
-constexpr char kDeltaMagic[8] = {'S', 'O', 'M', 'R', 'D', 'E', 'L', 'T'};
-constexpr uint32_t kFormatVersion = 3;  // keep in sync with snapshot.cc
-
-}  // namespace
-
 void ValidateSnapshotBytes(std::string_view bytes,
                            const matching::MatcherConfig* expected_config,
                            ValidationReport* report) {

@@ -48,7 +48,7 @@ std::string Fingerprint(const std::vector<PageResult>& results) {
     for (const matching::MatchStats* stats :
          {&page.table_stats, &page.infobox_stats, &page.list_stats}) {
       out << "stats " << stats->similarities_computed << " "
-          << stats->pairs_pruned << " " << stats->pairs_blocked << " "
+          << stats->pairs_pruned << " "
           << stats->stage1_matches << " " << stats->stage2_matches << " "
           << stats->stage3_matches << " " << stats->new_objects << "\n";
     }

@@ -1,7 +1,8 @@
-// Golden equivalence of the interned-token (FlatBag) similarity engine
-// against the legacy string-hash path: the kernels must agree value for
-// value, and the full matcher must emit the identical identity graph on
-// gold corpora for every focal object type.
+// Golden equivalence of the interned-token (FlatBag) similarity kernels
+// against the string-bag kernels, value for value, and of the production
+// matcher against the naive Alg. 1 reference (reference_matcher.h) on
+// gold corpora for every focal object type: same identity graph, same
+// stage counts, same decisions.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,8 @@
 #include "text/token_pool.h"
 #include "wikigen/corpus.h"
 
+#include "reference_matcher.h"
+
 namespace somr::matching {
 namespace {
 
@@ -30,6 +33,18 @@ BagOfWords RandomBag(Rng& rng, int tokens, int vocabulary) {
 
 FlatBag Compile(const BagOfWords& bag, TokenPool& pool) {
   return FlatBag::FromBag(bag, pool);
+}
+
+/// The matcher's IOF weights for one step: `previous` registered as the
+/// tracked objects' newest bags, `incoming` overlaid.
+sim::DenseTokenWeights IofWeights(const std::vector<const FlatBag*>& previous,
+                                  const std::vector<const FlatBag*>& incoming,
+                                  uint32_t pool_size) {
+  sim::DenseTokenWeights weights;
+  weights.ResetIncremental(pool_size);
+  for (const FlatBag* bag : previous) weights.AddPrevBag(*bag);
+  weights.BeginIncrementalStep(incoming, pool_size);
+  return weights;
 }
 
 TEST(KernelEquivalenceTest, UnweightedKernelsBitIdentical) {
@@ -73,8 +88,8 @@ TEST(KernelEquivalenceTest, WeightedKernelsNearIdentical) {
     FlatBag fc = Compile(c, pool);
     sim::TokenWeighting weighting =
         sim::TokenWeighting::InverseObjectFrequency({&a, &b}, {&b, &c});
-    sim::DenseTokenWeights weights;
-    weights.BuildInverseObjectFrequency({&fa, &fb}, {&fb, &fc}, pool.size());
+    sim::DenseTokenWeights weights =
+        IofWeights({&fa, &fb}, {&fb, &fc}, pool.size());
     // Same weight values; only the summation order differs (id order vs
     // hash order), so allow for reassociation error.
     EXPECT_NEAR(sim::WeightedRuzicka(a, b, weighting),
@@ -94,8 +109,7 @@ TEST(KernelEquivalenceTest, UpperBoundIsSound) {
     TokenPool pool;
     FlatBag fa = Compile(a, pool);
     FlatBag fb = Compile(b, pool);
-    sim::DenseTokenWeights weights;
-    weights.BuildInverseObjectFrequency({&fa}, {&fb}, pool.size());
+    sim::DenseTokenWeights weights = IofWeights({&fa}, {&fb}, pool.size());
     double ta = sim::WeightedTotal(fa, weights);
     double tb = sim::WeightedTotal(fb, weights);
     double bound = sim::SimilarityUpperBound(sim::SimilarityKind::kStrict,
@@ -104,29 +118,6 @@ TEST(KernelEquivalenceTest, UpperBoundIsSound) {
                                              fb, weights, ta, tb);
     EXPECT_LE(exact, bound + 1e-12);
   }
-}
-
-/// The graphs must be identical object for object, version for version.
-void ExpectSameGraph(const IdentityGraph& flat, const IdentityGraph& legacy) {
-  EXPECT_EQ(flat.type(), legacy.type());
-  ASSERT_EQ(flat.ObjectCount(), legacy.ObjectCount());
-  for (size_t i = 0; i < flat.objects().size(); ++i) {
-    const TrackedObjectRecord& f = flat.objects()[i];
-    const TrackedObjectRecord& l = legacy.objects()[i];
-    EXPECT_EQ(f.object_id, l.object_id);
-    EXPECT_EQ(f.type, l.type);
-    EXPECT_EQ(f.versions, l.versions);
-  }
-}
-
-IdentityGraph RunEngine(
-    const std::vector<std::vector<extract::ObjectInstance>>& revisions,
-    extract::ObjectType type, const MatcherConfig& config) {
-  TemporalMatcher matcher(type, config);
-  for (size_t r = 0; r < revisions.size(); ++r) {
-    matcher.ProcessRevision(static_cast<int>(r), revisions[r]);
-  }
-  return matcher.TakeGraph();
 }
 
 wikigen::GoldCorpus SmallCorpus(extract::ObjectType focal, uint64_t seed) {
@@ -143,7 +134,7 @@ wikigen::GoldCorpus SmallCorpus(extract::ObjectType focal, uint64_t seed) {
 class MatcherEquivalenceTest
     : public ::testing::TestWithParam<extract::ObjectType> {};
 
-TEST_P(MatcherEquivalenceTest, FlatEngineMatchesLegacyOnGoldCorpus) {
+TEST_P(MatcherEquivalenceTest, MatchesReferenceOnGoldCorpus) {
   extract::ObjectType focal = GetParam();
   wikigen::GoldCorpus corpus = SmallCorpus(focal, 91);
   xmldump::Dump dump = wikigen::CorpusToDump(corpus);
@@ -153,50 +144,10 @@ TEST_P(MatcherEquivalenceTest, FlatEngineMatchesLegacyOnGoldCorpus) {
     for (extract::ObjectType type :
          {extract::ObjectType::kTable, extract::ObjectType::kInfobox,
           extract::ObjectType::kList}) {
-      auto slices = eval::SliceType(objects, type);
-      MatcherConfig flat_config;
-      flat_config.use_flat_kernels = true;
-      MatcherConfig legacy_config;
-      legacy_config.use_flat_kernels = false;
-      ExpectSameGraph(RunEngine(slices, type, flat_config),
-                      RunEngine(slices, type, legacy_config));
+      SCOPED_TRACE(page.title + " / " + extract::ObjectTypeName(type));
+      ExpectMatchesReference(eval::SliceType(objects, type), type,
+                             MatcherConfig{});
     }
-  }
-}
-
-TEST_P(MatcherEquivalenceTest, LshBelowThresholdFallsBackExactly) {
-  extract::ObjectType focal = GetParam();
-  wikigen::GoldCorpus corpus = SmallCorpus(focal, 92);
-  xmldump::Dump dump = wikigen::CorpusToDump(corpus);
-  for (const xmldump::PageHistory& page : dump.pages) {
-    std::vector<extract::PageObjects> objects =
-        eval::ExtractRevisionObjects(page);
-    auto slices = eval::SliceType(objects, focal);
-    MatcherConfig lsh_config;
-    lsh_config.enable_lsh_blocking = true;  // never engaged: threshold huge
-    lsh_config.lsh_min_pair_count = 1u << 30;
-    MatcherConfig exact_config;
-    ExpectSameGraph(RunEngine(slices, focal, lsh_config),
-                    RunEngine(slices, focal, exact_config));
-  }
-}
-
-TEST_P(MatcherEquivalenceTest, LshEngagedStillAssignsEveryInstance) {
-  extract::ObjectType focal = GetParam();
-  wikigen::GoldCorpus corpus = SmallCorpus(focal, 93);
-  xmldump::Dump dump = wikigen::CorpusToDump(corpus);
-  for (const xmldump::PageHistory& page : dump.pages) {
-    std::vector<extract::PageObjects> objects =
-        eval::ExtractRevisionObjects(page);
-    auto slices = eval::SliceType(objects, focal);
-    size_t total_instances = 0;
-    for (const auto& rev : slices) total_instances += rev.size();
-    MatcherConfig lsh_config;
-    lsh_config.enable_lsh_blocking = true;
-    lsh_config.lsh_min_pair_count = 0;  // always engaged
-    IdentityGraph graph = RunEngine(slices, focal, lsh_config);
-    // Blocking may split identities but never drops an instance.
-    EXPECT_EQ(graph.VersionCount(), total_instances);
   }
 }
 

@@ -1,11 +1,10 @@
 // Randomized differential test of the retrieval-index candidate
-// generation (src/retrieval/) against the all-pairs sweep: on seeded
-// wikigen corpora and a Socrata data lake the two paths must produce
-// byte-identical identity graphs, outcome stats, and match provenance
-// across every object type and config ablation, while the indexed path
-// scores at most as many pairs as the sweep. Also covers snapshot restore
-// (the index is rebuilt, the "retrieval_index" validator must pass) and
-// the shape pre-filter.
+// generation (src/retrieval/): on seeded wikigen corpora, a Socrata data
+// lake and a synthetic page built to defeat the totals bound, the
+// production matcher must make exactly the decisions of the naive
+// all-pairs reference (reference_matcher.h) across every object type and
+// config ablation. Also covers snapshot restore (the index is rebuilt,
+// the "retrieval_index" validator must pass).
 
 #include <sstream>
 #include <string>
@@ -15,12 +14,14 @@
 
 #include "archive/socrata.h"
 #include "common/check.h"
+#include "common/rng.h"
 #include "eval/harness.h"
 #include "matching/graph_io.h"
 #include "matching/matcher.h"
-#include "obs/provenance.h"
 #include "state/snapshot.h"
 #include "wikigen/corpus.h"
+
+#include "reference_matcher.h"
 
 namespace somr::matching {
 namespace {
@@ -36,59 +37,8 @@ wikigen::GoldCorpus SmallCorpus(extract::ObjectType focal, uint64_t seed) {
   return wikigen::GenerateGoldCorpus(config);
 }
 
-/// Outcome provenance of one run: every decision that shapes the graph,
-/// excluding the work-rate fields (similarities, prunes, candidate
-/// counts) that legitimately differ between swept and indexed runs.
-struct Outcome {
-  std::string graph;
-  MatchStats stats;
-  std::vector<std::string> decisions;
-};
-
-class DecisionCollector : public obs::ProvenanceSink {
- public:
-  void Record(const obs::MatchDecision& d) override {
-    if (d.kind == obs::MatchDecision::Kind::kStep) return;  // work rates
-    std::ostringstream line;
-    line << obs::MatchDecisionKindName(d.kind) << " r" << d.revision
-         << " s" << d.stage << " o" << d.object_id << " p" << d.position
-         << " sim=" << d.similarity << " " << d.reason;
-    decisions.push_back(line.str());
-  }
-  std::vector<std::string> decisions;
-};
-
-Outcome RunEngine(
-    const std::vector<std::vector<extract::ObjectInstance>>& revisions,
-    extract::ObjectType type, const MatcherConfig& config) {
-  TemporalMatcher matcher(type, config);
-  DecisionCollector collector;
-  matcher.SetProvenanceSink(&collector);
-  for (size_t r = 0; r < revisions.size(); ++r) {
-    matcher.ProcessRevision(static_cast<int>(r), revisions[r]);
-  }
-  Outcome outcome;
-  outcome.stats = matcher.stats();
-  outcome.graph = SerializeIdentityGraph(matcher.graph());
-  outcome.decisions = std::move(collector.decisions);
-  return outcome;
-}
-
-/// Swept and indexed runs must agree on everything the graph is built
-/// from; only work-rate counters may differ (indexed never scores more).
-void ExpectEquivalent(const Outcome& swept, const Outcome& indexed) {
-  EXPECT_EQ(swept.graph, indexed.graph);
-  EXPECT_EQ(swept.stats.stage1_matches, indexed.stats.stage1_matches);
-  EXPECT_EQ(swept.stats.stage2_matches, indexed.stats.stage2_matches);
-  EXPECT_EQ(swept.stats.stage3_matches, indexed.stats.stage3_matches);
-  EXPECT_EQ(swept.stats.new_objects, indexed.stats.new_objects);
-  EXPECT_EQ(swept.decisions, indexed.decisions);
-  EXPECT_LE(indexed.stats.similarities_computed,
-            swept.stats.similarities_computed);
-}
-
 void RunDifferential(extract::ObjectType focal, uint64_t seed,
-                     MatcherConfig base) {
+                     const MatcherConfig& config) {
   wikigen::GoldCorpus corpus = SmallCorpus(focal, seed);
   xmldump::Dump dump = wikigen::CorpusToDump(corpus);
   for (const xmldump::PageHistory& page : dump.pages) {
@@ -97,13 +47,8 @@ void RunDifferential(extract::ObjectType focal, uint64_t seed,
     for (extract::ObjectType type :
          {extract::ObjectType::kTable, extract::ObjectType::kInfobox,
           extract::ObjectType::kList}) {
-      auto slices = eval::SliceType(objects, type);
-      MatcherConfig swept = base;
-      swept.enable_retrieval_index = false;
-      MatcherConfig indexed = base;
-      indexed.enable_retrieval_index = true;
-      ExpectEquivalent(RunEngine(slices, type, swept),
-                       RunEngine(slices, type, indexed));
+      SCOPED_TRACE(page.title + " / " + extract::ObjectTypeName(type));
+      ExpectMatchesReference(eval::SliceType(objects, type), type, config);
     }
   }
 }
@@ -111,7 +56,7 @@ void RunDifferential(extract::ObjectType focal, uint64_t seed,
 class RetrievalEquivalenceTest
     : public ::testing::TestWithParam<extract::ObjectType> {};
 
-TEST_P(RetrievalEquivalenceTest, IndexedMatchesSweptOnGoldCorpora) {
+TEST_P(RetrievalEquivalenceTest, MatchesReferenceOnGoldCorpora) {
   for (uint64_t seed : {101u, 102u, 103u}) {
     RunDifferential(GetParam(), seed, MatcherConfig{});
   }
@@ -142,29 +87,9 @@ TEST_P(RetrievalEquivalenceTest, AblationsStayEquivalent) {
     RunDifferential(GetParam(), 107, config);
   }
   {
-    MatcherConfig config;  // theta <= 0 falls back to the sweep
+    MatcherConfig config;  // theta <= 0 sweeps that stage
     config.theta3 = 0.0;
     RunDifferential(GetParam(), 108, config);
-  }
-}
-
-TEST_P(RetrievalEquivalenceTest, ShapePrefilterAgreesAcrossAllEngines) {
-  // The shape pre-filter is approximate, but it must be the SAME
-  // approximation on the swept, indexed, and legacy paths.
-  MatcherConfig config;
-  config.enable_shape_prefilter = true;
-  RunDifferential(GetParam(), 109, config);
-
-  wikigen::GoldCorpus corpus = SmallCorpus(GetParam(), 110);
-  xmldump::Dump dump = wikigen::CorpusToDump(corpus);
-  for (const xmldump::PageHistory& page : dump.pages) {
-    std::vector<extract::PageObjects> objects =
-        eval::ExtractRevisionObjects(page);
-    auto slices = eval::SliceType(objects, GetParam());
-    MatcherConfig legacy = config;
-    legacy.use_flat_kernels = false;
-    EXPECT_EQ(RunEngine(slices, GetParam(), config).graph,
-              RunEngine(slices, GetParam(), legacy).graph);
   }
 }
 
@@ -173,7 +98,7 @@ INSTANTIATE_TEST_SUITE_P(AllTypes, RetrievalEquivalenceTest,
                                            extract::ObjectType::kInfobox,
                                            extract::ObjectType::kList));
 
-TEST(RetrievalLakeTest, IndexedMatchesSweptOnSocrataLake) {
+TEST(RetrievalLakeTest, MatchesReferenceOnSocrataLake) {
   // Full rear-view windows of large, unordered, token-heavy tables: the
   // regime where every retrieval walk meets long posting lists and every
   // object's window repeats most of its tokens across versions. Twelve
@@ -183,22 +108,66 @@ TEST(RetrievalLakeTest, IndexedMatchesSweptOnSocrataLake) {
   lake.datasets_per_subdomain = 8;
   lake.num_snapshots = 12;
   lake.seed = 2026;
-  MatcherConfig base;
-  base.use_spatial_features = false;
+  MatcherConfig config;
+  config.use_spatial_features = false;
   for (const archive::SocrataContext& context :
        archive::GenerateSocrata(lake)) {
     SCOPED_TRACE(context.subdomain);
-    MatcherConfig swept = base;
-    swept.enable_retrieval_index = false;
-    MatcherConfig indexed = base;
-    indexed.enable_retrieval_index = true;
-    const Outcome indexed_outcome =
-        RunEngine(context.snapshots, extract::ObjectType::kTable, indexed);
-    ExpectEquivalent(
-        RunEngine(context.snapshots, extract::ObjectType::kTable, swept),
-        indexed_outcome);
-    EXPECT_GT(indexed_outcome.stats.stage2_matches, 0u);
+    const MatchStats stats = ExpectMatchesReference(
+        context.snapshots, extract::ObjectType::kTable, config);
+    EXPECT_GT(stats.stage2_matches, 0u);
   }
+}
+
+// The synthetic page of bench_retrieval_index at N = 1,000 tracked
+// tables: every object has the same weighted total (40 unique tokens, 8
+// from a 50-token shared pool, 4 universal), so the totals bound is ~1
+// for every pair and only the index's overlap bound can prune. Each
+// update rewrites 4 unique tokens of a random source object.
+std::vector<std::vector<extract::ObjectInstance>> HostileCorpus(
+    size_t objects) {
+  Rng rng(20260809 + static_cast<uint64_t>(objects));
+  auto make = [&](size_t object, int position) {
+    extract::ObjectInstance obj;
+    obj.type = extract::ObjectType::kTable;
+    obj.position = position;
+    obj.schema = {"key", "value"};
+    std::vector<std::string> cells;
+    for (int j = 0; j < 40; ++j) {
+      cells.push_back("u" + std::to_string(object) + "w" + std::to_string(j));
+    }
+    for (int j = 0; j < 8; ++j) {
+      cells.push_back("s" + std::to_string(rng.UniformInt(0, 49)));
+    }
+    for (int j = 0; j < 4; ++j) cells.push_back("c" + std::to_string(j));
+    obj.rows.push_back(std::move(cells));
+    return obj;
+  };
+  std::vector<std::vector<extract::ObjectInstance>> revisions(1);
+  for (size_t o = 0; o < objects; ++o) {
+    revisions[0].push_back(make(o, static_cast<int>(o)));
+  }
+  for (int r = 1; r <= 2; ++r) {
+    std::vector<extract::ObjectInstance> incoming;
+    for (int i = 0; i < 8; ++i) {
+      extract::ObjectInstance obj = revisions[0][rng.Index(objects)];
+      obj.position = i;
+      for (int j = 0; j < 4; ++j) {
+        obj.rows[0][static_cast<size_t>(j)] =
+            "r" + std::to_string(r) + "n" + std::to_string(j);
+      }
+      incoming.push_back(std::move(obj));
+    }
+    revisions.push_back(std::move(incoming));
+  }
+  return revisions;
+}
+
+TEST(RetrievalSyntheticTest, MatchesReferenceOnHostileCorpus) {
+  const auto revisions = HostileCorpus(1000);
+  const MatchStats stats = ExpectMatchesReference(
+      revisions, extract::ObjectType::kTable, MatcherConfig{});
+  EXPECT_GT(stats.stage2_matches, 0u);
 }
 
 TEST(RetrievalSnapshotTest, RestoredIndexValidatesAndContinuesIdentically) {

@@ -142,45 +142,6 @@ TEST(ProvenanceTest, MatchRecordsCarryStageAndSimilarity) {
   EXPECT_TRUE(saw_match);
 }
 
-TEST(ProvenanceTest, LegacyEngineEmitsSameDecisions) {
-  matching::MatcherConfig legacy_config;
-  legacy_config.use_flat_kernels = false;
-  matching::TemporalMatcher flat(ObjectType::kTable);
-  matching::TemporalMatcher legacy(ObjectType::kTable, legacy_config);
-
-  std::ostringstream flat_out, legacy_out;
-  JsonlProvenanceWriter flat_writer(flat_out);
-  JsonlProvenanceWriter legacy_writer(legacy_out);
-  flat.SetProvenanceSink(&flat_writer);
-  legacy.SetProvenanceSink(&legacy_writer);
-
-  ObjectInstance a = Table({"alpha beta gamma", "one two three"});
-  ObjectInstance b = Table({"delta epsilon zeta", "four five six"});
-  for (int r = 0; r < 3; ++r) {
-    auto rev = r == 1 ? Revision({b, a}) : Revision({a, b});
-    flat.ProcessRevision(r, rev);
-    legacy.ProcessRevision(r, rev);
-  }
-
-  // Same decisions from both engines: compare kind/stage/object/position
-  // of every pair record (step records differ in prune counters).
-  auto key_of = [](const std::string& line) {
-    return JsonField(line, "kind") + "|" + JsonField(line, "stage") + "|" +
-           JsonField(line, "object") + "|" + JsonField(line, "position") +
-           "|" + JsonField(line, "revision");
-  };
-  std::vector<std::string> flat_keys, legacy_keys;
-  for (const std::string& line : Lines(flat_out.str())) {
-    if (JsonField(line, "kind") != "step") flat_keys.push_back(key_of(line));
-  }
-  for (const std::string& line : Lines(legacy_out.str())) {
-    if (JsonField(line, "kind") != "step") {
-      legacy_keys.push_back(key_of(line));
-    }
-  }
-  EXPECT_EQ(flat_keys, legacy_keys);
-}
-
 TEST(ProvenanceTest, NewObjectRecordsOnFirstRevision) {
   matching::TemporalMatcher matcher(ObjectType::kTable);
   std::ostringstream out;

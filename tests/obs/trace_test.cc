@@ -1,5 +1,6 @@
 #include "obs/trace.h"
 
+#include <atomic>
 #include <set>
 #include <string>
 #include <thread>
@@ -116,6 +117,52 @@ TEST_F(TraceTest, ConcurrentSpansAllLand) {
   // Thread ids are small sequential values, distinct per thread.
   std::vector<TraceEvent> events = recorder.Events();
   ASSERT_EQ(events.size(), static_cast<size_t>(kThreads) * kPerThread);
+}
+
+TEST_F(TraceTest, ExportBesideLiveWritersReturnsWholeEvents) {
+  // Writers keep wrapping a small ring while a reader exports it. Every
+  // event carries fields derived from its start time and its writer's
+  // name, so a slot copied while a writer was overwriting it would mix
+  // two events and fail these checks.
+  static const char* const kNames[] = {"w0", "w1", "w2", "w3"};
+  static const char* const kCats[] = {"c0", "c1", "c2", "c3"};
+  constexpr int kWriters = 4;
+  constexpr int64_t kEventsPerWriter = 20000;
+  TraceRecorder& recorder = TraceRecorder::Global();
+  recorder.Enable(64);
+  std::atomic<int> running{kWriters};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int64_t k = 0; k < kEventsPerWriter; ++k) {
+        const int64_t start = w * 1000000 + k;
+        recorder.Record(kNames[w], kCats[w], start, 3 * start + 1,
+                        static_cast<uint64_t>(start) * 7919 + 1);
+      }
+      running.fetch_sub(1);
+    });
+  }
+  size_t checked = 0;
+  uint32_t tid_of[kWriters] = {0, 0, 0, 0};
+  auto check = [&](const TraceEvent& e) {
+    int w = 0;
+    while (w < kWriters && e.name != kNames[w]) ++w;
+    ASSERT_LT(w, kWriters) << "unknown name pointer";
+    EXPECT_EQ(e.cat, kCats[w]);
+    EXPECT_EQ(e.start_ns / 1000000, w);
+    EXPECT_EQ(e.dur_ns, 3 * e.start_ns + 1);
+    EXPECT_EQ(e.trace_id, static_cast<uint64_t>(e.start_ns) * 7919 + 1);
+    if (tid_of[w] == 0) tid_of[w] = e.tid;
+    EXPECT_EQ(e.tid, tid_of[w]) << "writer " << w;
+    ++checked;
+  };
+  while (running.load() > 0) {
+    for (const TraceEvent& e : recorder.Events()) check(e);
+  }
+  for (auto& th : writers) th.join();
+  for (const TraceEvent& e : recorder.Events()) check(e);
+  EXPECT_EQ(recorder.recorded(), kWriters * kEventsPerWriter);
+  EXPECT_GT(checked, 0u);
 }
 
 TEST_F(TraceTest, EnableResetsPriorEvents) {

@@ -256,14 +256,20 @@ TEST_F(ContextStoreTest, NoTempFilesLeftBehind) {
 }
 
 TEST_F(ContextStoreTest, RefusesV1StoreWithMigrationMessage) {
-  std::filesystem::create_directories(dir_);
-  std::ofstream(dir_ + "/manifest.tsv")
-      << "# somr-context-store v1 config=0123456789abcdef\n";
-  ContextStore store(dir_);
-  Status status = store.Open(/*create=*/false);
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.ToString().find("re-ingest"), std::string::npos)
-      << status.ToString();
+  // v1: one file per page; v2: record log of format-v3 snapshots. Both
+  // must point at the migration, not at a config mismatch.
+  for (const char* header :
+       {"# somr-context-store v1 config=0123456789abcdef\n",
+        "# somr-context-store v2 config=0123456789abcdef\n"}) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    std::ofstream(dir_ + "/manifest.tsv") << header;
+    ContextStore store(dir_);
+    Status status = store.Open(/*create=*/false);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << header;
+    EXPECT_NE(status.ToString().find("re-ingest"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST_F(ContextStoreTest, DeltaChainCadenceReanchors) {

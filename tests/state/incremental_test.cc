@@ -109,7 +109,6 @@ void ExpectBatchEquivalent(const core::PageResult& incremental,
     EXPECT_EQ(inc_stats[i]->stage3_matches, batch_stats[i]->stage3_matches);
     EXPECT_EQ(inc_stats[i]->new_objects, batch_stats[i]->new_objects);
     EXPECT_EQ(inc_stats[i]->pairs_pruned, batch_stats[i]->pairs_pruned);
-    EXPECT_EQ(inc_stats[i]->pairs_blocked, batch_stats[i]->pairs_blocked);
     EXPECT_EQ(inc_stats[i]->step_millis.size(),
               batch_stats[i]->step_millis.size());
   }

@@ -155,12 +155,16 @@ TEST(SnapshotTest, RejectsBadMagic) {
 }
 
 TEST(SnapshotTest, RejectsUnknownFormatVersion) {
-  std::string bytes = Snapshot(StateFromPage(SamplePage()));
-  bytes[8] = static_cast<char>(0xEE);  // format version little-endian LSB
-  std::istringstream in(bytes);
-  PageState state;
-  Status status = LoadPageSnapshot(in, matching::MatcherConfig{}, &state);
-  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  // 3 is the previous format (string bags, MinHash and shape signatures
+  // on the wire); 0xEE was never written.
+  for (uint8_t version : {uint8_t{3}, uint8_t{0xEE}}) {
+    std::string bytes = Snapshot(StateFromPage(SamplePage()));
+    bytes[8] = static_cast<char>(version);  // format version LE LSB
+    std::istringstream in(bytes);
+    PageState state;
+    Status status = LoadPageSnapshot(in, matching::MatcherConfig{}, &state);
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << int{version};
+  }
 }
 
 TEST(SnapshotTest, RejectsConfigFingerprintMismatch) {

@@ -89,6 +89,19 @@ TEST(ValidateSnapshotTest, CatchesFingerprintMismatch) {
       << report.ToString();
 }
 
+TEST(ValidateSnapshotTest, ReportsPreviousFormatVersion) {
+  // A record written by the format-v3 codec (string bags, MinHash and
+  // shape signatures on the wire) must be reported, not read.
+  std::string bytes = SnapshotBytes(MakeState());
+  bytes[8] = 3;  // format version, little-endian LSB
+  ValidationReport report;
+  ValidateSnapshotBytes(bytes, nullptr, &report);
+  EXPECT_FALSE(report.ok());
+  EXPECT_NE(report.ToString().find("unsupported format version 3"),
+            std::string::npos)
+      << report.ToString();
+}
+
 TEST(ValidateSnapshotTest, MissingFileIsReported) {
   ValidationReport report;
   ValidateSnapshotFile("/nonexistent/somr.snap", nullptr, &report);

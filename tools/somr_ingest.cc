@@ -139,7 +139,6 @@ int RunStatus(const state::ContextStore& store, const FlagParser& flags) {
       const matching::MatchStats& stats = state->matcher.StatsFor(type);
       total.similarities_computed += stats.similarities_computed;
       total.pairs_pruned += stats.pairs_pruned;
-      total.pairs_blocked += stats.pairs_blocked;
       total.stage1_matches += stats.stage1_matches;
       total.stage2_matches += stats.stage2_matches;
       total.stage3_matches += stats.stage3_matches;
@@ -149,10 +148,10 @@ int RunStatus(const state::ContextStore& store, const FlagParser& flags) {
                                stats.step_millis.end());
     }
     std::printf(
-        "  sims %zu  pruned %zu  blocked %zu  stages %zu/%zu/%zu  "
+        "  sims %zu  pruned %zu  stages %zu/%zu/%zu  "
         "new %zu  step ms p50 %.3f p95 %.3f\n",
         total.similarities_computed, total.pairs_pruned,
-        total.pairs_blocked, total.stage1_matches, total.stage2_matches,
+        total.stage1_matches, total.stage2_matches,
         total.stage3_matches, total.new_objects,
         Percentile(total.step_millis, 0.50),
         Percentile(total.step_millis, 0.95));

@@ -211,18 +211,15 @@ int main(int argc, char** argv) {
     // matching per page and sweep the matcher's validators (including
     // "retrieval_index") over the final windows.
     size_t matchers_swept = 0;
-    if (pipeline.config().use_flat_kernels &&
-        pipeline.config().enable_retrieval_index) {
-      for (const core::PageResult& page : *results) {
-        for (extract::ObjectType type : kAllTypes) {
-          matching::TemporalMatcher matcher(type, pipeline.config());
-          for (size_t r = 0; r < page.revisions.size(); ++r) {
-            matcher.ProcessRevision(static_cast<int>(r),
-                                    page.revisions[r].OfType(type));
-          }
-          matcher.Validate(&report);
-          ++matchers_swept;
+    for (const core::PageResult& page : *results) {
+      for (extract::ObjectType type : kAllTypes) {
+        matching::TemporalMatcher matcher(type, pipeline.config());
+        for (size_t r = 0; r < page.revisions.size(); ++r) {
+          matcher.ProcessRevision(static_cast<int>(r),
+                                  page.revisions[r].OfType(type));
         }
+        matcher.Validate(&report);
+        ++matchers_swept;
       }
     }
     if (!report.ok()) {
