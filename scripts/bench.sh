@@ -7,8 +7,11 @@
 # machine's hardware_concurrency recorded alongside) and the
 # candidate-generation sweep (retrieval-index matching step time and pairs
 # scored against tracked x incoming candidate pairs at 10..10000 tracked
-# objects, merged under ns_per_op.candidate_gen), and the somr_lint
-# analysis-pass full-tree runtime (ns_per_op.lint_analysis). Compare the
+# objects, merged under ns_per_op.candidate_gen), the somr_lint
+# analysis-pass full-tree runtime (ns_per_op.lint_analysis), and the
+# context-store checkpoint/fault measurements (full vs delta records at
+# 1000 dirty contexts of 100000, ns_per_op.state_io; exits non-zero below
+# the 5x bytes-written bar). Compare the
 # file across commits to catch hot-path regressions — the observability
 # layer must stay within 2% when disabled.
 #
@@ -22,13 +25,15 @@ export CMAKE_BUILD_PARALLEL_LEVEL="$JOBS"
 
 cmake --preset release
 cmake --build --preset release --target bench_micro_kernels \
-  bench_parallel_scaling bench_retrieval_index bench_lint_analysis
+  bench_parallel_scaling bench_retrieval_index bench_lint_analysis \
+  bench_state_io
 # Order matters: bench_micro_kernels writes the file fresh, the others
 # merge their sections ("parallel_scaling" at the top level, then
-# "candidate_gen" and "lint_analysis" inside "ns_per_op") into the
-# existing report.
+# "candidate_gen", "lint_analysis" and "state_io" inside "ns_per_op")
+# into the existing report.
 build/release/bench/bench_micro_kernels --json BENCH_matching.json
 build/release/bench/bench_parallel_scaling --json BENCH_matching.json
 build/release/bench/bench_retrieval_index --json BENCH_matching.json
 build/release/bench/bench_lint_analysis --json BENCH_matching.json
+build/release/bench/bench_state_io --json BENCH_matching.json
 echo "==> wrote BENCH_matching.json"

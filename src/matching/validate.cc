@@ -189,10 +189,10 @@ void TemporalMatcher::Validate(ValidationReport* report) const {
             << ", p" << t.last_position << ") disagrees with graph tail (r"
             << newest.revision << ", p" << newest.position << ")";
       }
-      if (objects[i].versions.front().revision < t.first_revision) {
+      if (objects[i].versions.front().revision != t.first_revision) {
         report->AddIssue("matching")
             << "object " << t.id << " first_revision " << t.first_revision
-            << " is newer than its first graph version r"
+            << " disagrees with its first graph version r"
             << objects[i].versions.front().revision;
       }
     }

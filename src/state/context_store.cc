@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/hash.h"
@@ -62,11 +62,23 @@ const SnapshotMetrics& GetSnapshotMetrics() {
 }
 
 constexpr const char* kManifestName = "manifest.tsv";
-// v3: records are snapshot format v4 (see kFormatVersion). Stores
+// v4: records are snapshot format v5 (see kFormatVersion). Stores
 // written under an older header hold records this build cannot read.
-constexpr const char* kManifestHeader = "# somr-context-store v3";
-constexpr const char* kManifestHeaderV1 = "# somr-context-store v1";
-constexpr const char* kManifestHeaderV2 = "# somr-context-store v2";
+constexpr const char* kManifestHeader = "# somr-context-store v4";
+// Headers of stores this build cannot read, each with the reason, so an
+// old store is refused for its format and pointed at re-ingesting.
+struct RetiredManifest {
+  const char* header;
+  const char* reason;
+};
+constexpr RetiredManifest kRetiredManifests[] = {
+    {"# somr-context-store v1",
+     "uses the v1 one-file-per-page layout, which predates the record log"},
+    {"# somr-context-store v2",
+     "holds format-v3 snapshot records, which predate format v5"},
+    {"# somr-context-store v3",
+     "holds format-v4 snapshot records, which predate format v5"},
+};
 
 }  // namespace
 
@@ -116,22 +128,19 @@ Status ContextStore::Open(bool create) {
     return Status::ParseError(manifest_path + ": not a context-store "
                               "manifest");
   }
-  if (line.rfind(kManifestHeaderV1, 0) == 0 ||
-      line.rfind(kManifestHeaderV2, 0) == 0) {
-    const bool v1 = line.rfind(kManifestHeaderV1, 0) == 0;
-    return Status::InvalidArgument(
-        "context store at " + dir_ +
-        (v1 ? " uses the v1 one-file-per-page layout, which predates the "
-              "record log"
-            : " holds v3 snapshot records, which predate format v4") +
-        "; re-ingest its dumps into a fresh store to migrate (see "
-        "DESIGN.md §15)");
+  for (const RetiredManifest& retired : kRetiredManifests) {
+    if (line.rfind(retired.header, 0) == 0) {
+      return Status::InvalidArgument(
+          "context store at " + dir_ + " " + retired.reason +
+          "; re-ingest its dumps into a fresh store to migrate (see "
+          "DESIGN.md §15)");
+    }
   }
   if (line.rfind(kManifestHeader, 0) != 0) {
     return Status::ParseError(manifest_path + ": not a context-store "
                               "manifest");
   }
-  // Header carries the fingerprint: "# somr-context-store v3 config=<hex>".
+  // Header carries the fingerprint: "# somr-context-store v4 config=<hex>".
   const std::string marker = "config=";
   size_t at = line.find(marker);
   if (at == std::string::npos) {
@@ -227,35 +236,21 @@ StatusOr<PageState> ContextStore::Load(const std::string& title) const {
   }
   StatusOr<std::vector<ChainRecord>> chain = log_.ReadChain(title);
   SOMR_RETURN_IF_ERROR(chain.status());
-  if (chain->empty() || chain->front().kind != RecordKind::kFull) {
-    return Status::ParseError("record chain for \"" + title +
-                              "\" does not start with a full snapshot");
-  }
-
-  PageState state(config_);
-  {
-    std::istringstream in(chain->front().payload, std::ios::binary);
-    SOMR_RETURN_IF_ERROR(LoadPageSnapshot(in, config_, &state));
-  }
-  for (size_t i = 1; i < chain->size(); ++i) {
-    if ((*chain)[i].kind != RecordKind::kDelta) {
-      return Status::ParseError("record chain for \"" + title +
-                                "\" holds a second full snapshot");
-    }
-    SOMR_TRACE_SCOPE_CAT("state", "state/delta_replay");
-    std::istringstream in((*chain)[i].payload, std::ios::binary);
-    SOMR_RETURN_IF_ERROR(ApplyPageDelta(in, config_, &state));
-    GetSnapshotMetrics().delta_replays->Increment();
-  }
-  if (state.title != title) {
-    return Status::Internal("record chain holds page \"" + state.title +
+  std::vector<std::string_view> records;
+  records.reserve(chain->size());
+  for (const ChainRecord& record : *chain) records.push_back(record.payload);
+  StatusOr<PageState> state = DecodePageChain(records, config_);
+  SOMR_RETURN_IF_ERROR(state.status());
+  GetSnapshotMetrics().delta_replays->Increment(records.size() - 1);
+  if (state->title != title) {
+    return Status::Internal("record chain holds page \"" + state->title +
                             "\", expected \"" + title + "\"");
   }
   {
     // The replayed state *is* the last persisted record: remember its
     // watermark so the next save of this page can be a delta.
     std::lock_guard<std::mutex> lock(mu_);
-    watermarks_[title] = CaptureWatermark(state);
+    watermarks_[title] = CaptureWatermark(*state);
   }
   const SnapshotMetrics& metrics = GetSnapshotMetrics();
   metrics.loads->Increment();
@@ -295,33 +290,25 @@ Status ContextStore::SaveInternal(const PageState& state, bool commit) {
     }
   }
 
-  std::ostringstream bytes(std::ios::binary);
-  if (as_delta) {
-    Status status = SavePageDelta(state, base, bytes);
-    if (status.code() == StatusCode::kInvalidArgument) {
-      // Not a descendant of the persisted base (e.g. the caller saved
-      // an older copy): re-anchor with a full snapshot.
-      as_delta = false;
-      bytes.str(std::string());
-      bytes.clear();
-    } else {
-      SOMR_RETURN_IF_ERROR(status);
-    }
+  StatusOr<std::string> record =
+      EncodePageRecord(state, as_delta ? &base : nullptr);
+  if (as_delta && record.status().code() == StatusCode::kInvalidArgument) {
+    // Not a descendant of the persisted base (e.g. the caller saved an
+    // older copy): re-anchor with a full snapshot.
+    as_delta = false;
+    record = EncodePageRecord(state, nullptr);
   }
-  if (!as_delta) {
-    SOMR_RETURN_IF_ERROR(SavePageSnapshot(state, bytes));
-  }
-  const std::string serialized = bytes.str();
+  SOMR_RETURN_IF_ERROR(record.status());
 
   StatusOr<RecordRef> ref = log_.Append(
       state.title, as_delta ? RecordKind::kDelta : RecordKind::kFull,
-      serialized, /*start_chain=*/!as_delta);
+      *record);
   SOMR_RETURN_IF_ERROR(ref.status());
 
   const SnapshotMetrics& metrics = GetSnapshotMetrics();
   metrics.saves->Increment();
   (as_delta ? metrics.delta_records : metrics.full_records)->Increment();
-  metrics.snapshot_bytes->Observe(static_cast<double>(serialized.size()));
+  metrics.snapshot_bytes->Observe(static_cast<double>(record->size()));
 
   PageInfo info;
   info.title = state.title;

@@ -123,7 +123,7 @@ class ContextStore {
 
   /// Replays the page's record chain (full snapshot + deltas) into a
   /// fresh state; NotFound when the page has never been saved,
-  /// ParseError/InvalidArgument per LoadPageSnapshot/ApplyPageDelta.
+  /// ParseError/InvalidArgument per DecodePageChain.
   StatusOr<PageState> Load(const std::string& title) const;
 
   /// Persists `state` (as a delta when the chain allows it) and makes

@@ -98,13 +98,13 @@ uint64_t DecodeFrame(std::string_view data, uint64_t at, std::string* key,
   if (!r.Str(&frame_key).ok()) return 0;
   uint64_t payload_len = 0, checksum = 0;
   if (!r.U64(&payload_len).ok() || !r.U64(&checksum).ok()) return 0;
-  std::string frame_payload;
+  std::string_view frame_payload;
   if (!r.Bytes(payload_len, &frame_payload).ok()) return 0;
   if (Fnv1a64(frame_payload) != checksum) return 0;
   const uint64_t frame_len = kFrameFixedBytes + frame_key.size() + payload_len;
   if (key != nullptr) *key = std::move(frame_key);
   if (kind != nullptr) *kind = static_cast<RecordKind>(kind_byte);
-  if (payload != nullptr) *payload = std::move(frame_payload);
+  if (payload != nullptr) payload->assign(frame_payload);
   return frame_len;
 }
 
@@ -545,8 +545,7 @@ uint32_t RecordLog::ShardFor(const std::string& key) const {
 
 StatusOr<RecordRef> RecordLog::Append(const std::string& key,
                                       RecordKind kind,
-                                      std::string_view payload,
-                                      bool start_chain) {
+                                      std::string_view payload) {
   const std::string frame = EncodeFrame(key, kind, payload);
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (!open_) return Status::Internal("record log not opened");
@@ -554,18 +553,10 @@ StatusOr<RecordRef> RecordLog::Append(const std::string& key,
       static_cast<uint32_t>(Fnv1a64(key) % shards_.size());
   Shard& s = *shards_[shard];
 
-  std::vector<RecordRef>& chain = chains_[key];
-  if (!start_chain && chain.empty()) {
-    chains_.erase(key);
+  const bool start_chain = kind == RecordKind::kFull;
+  if (!start_chain && chains_.find(key) == chains_.end()) {
     return Status::Internal("delta append for \"" + key +
                             "\" without an existing chain");
-  }
-  if (!start_chain && kind == RecordKind::kFull) {
-    return Status::Internal("full record cannot extend a chain");
-  }
-  if (start_chain && kind != RecordKind::kFull) {
-    if (chain.empty()) chains_.erase(key);
-    return Status::Internal("chain must start with a full record");
   }
 
   RecordRef ref;
@@ -578,6 +569,7 @@ StatusOr<RecordRef> RecordLog::Append(const std::string& key,
   s.live_bytes += frame.size();
   GetRecordLogMetrics().appended_bytes->Increment(frame.size());
 
+  std::vector<RecordRef>& chain = chains_[key];
   if (start_chain) {
     for (const RecordRef& old : chain) {
       shards_[old.shard]->live_bytes -= old.length;

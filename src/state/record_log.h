@@ -17,8 +17,8 @@ namespace somr::state {
 
 /// What a record holds: a complete serialized context or a delta over
 /// the previous record in its chain. The log itself never interprets
-/// payloads; kinds exist so replay can refuse a chain whose shape is
-/// wrong (delta without a preceding full record).
+/// payloads; the kind decides whether an append starts a chain or
+/// extends one, so no chain can begin with a delta.
 enum class RecordKind : uint8_t {
   kFull = 1,
   kDelta = 2,
@@ -110,11 +110,11 @@ class RecordLog {
   Status Open(bool create);
 
   /// Appends one record frame for `key` to its shard and updates the
-  /// in-memory chain: `start_chain` replaces the key's whole chain
-  /// (superseding its old records), otherwise the record extends it.
-  /// Not durable until Commit().
+  /// in-memory chain: a full record starts a new chain (superseding the
+  /// key's old records), a delta extends the existing one — Internal
+  /// when there is none. Not durable until Commit().
   StatusOr<RecordRef> Append(const std::string& key, RecordKind kind,
-                             std::string_view payload, bool start_chain);
+                             std::string_view payload);
 
   /// Reads and checksum-verifies every record in `key`'s chain, in
   /// order (full record first). NotFound for unknown keys.

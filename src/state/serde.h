@@ -36,6 +36,15 @@ class ByteWriter {
     bytes_.append(s.data(), s.size());
   }
 
+  /// Overwrites the eight bytes at `at` (a U64 written earlier): lets a
+  /// section header carry the size and checksum of the payload that
+  /// follows it without staging the payload in a second buffer.
+  void PatchU64(size_t at, uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      bytes_[at + static_cast<size_t>(i)] = static_cast<char>(v >> (8 * i));
+    }
+  }
+
   const std::string& bytes() const { return bytes_; }
   std::string Take() { return std::move(bytes_); }
   size_t size() const { return bytes_.size(); }
@@ -96,15 +105,23 @@ class ByteReader {
   }
 
   Status Str(std::string* out) {
+    std::string_view view;
+    SOMR_RETURN_IF_ERROR(StrView(&view));
+    out->assign(view);
+    return Status::OK();
+  }
+
+  /// Length-prefixed byte string as a view into the decoded bytes.
+  Status StrView(std::string_view* out) {
     uint64_t len = 0;
     SOMR_RETURN_IF_ERROR(U64(&len));
     return Bytes(len, out);
   }
 
-  /// Reads exactly `len` raw bytes.
-  Status Bytes(uint64_t len, std::string* out) {
+  /// Reads exactly `len` raw bytes as a view into the decoded bytes.
+  Status Bytes(uint64_t len, std::string_view* out) {
     if (len > remaining()) return Truncated("byte payload");
-    out->assign(data_.data() + pos_, static_cast<size_t>(len));
+    *out = data_.substr(pos_, static_cast<size_t>(len));
     pos_ += static_cast<size_t>(len);
     return Status::OK();
   }
@@ -134,5 +151,23 @@ class ByteReader {
   std::string_view data_;
   size_t pos_ = 0;
 };
+
+/// One record container split into its required sections, as views into
+/// the record bytes.
+struct RecordSections {
+  bool delta = false;  // "SOMRDELT" magic; false for "SOMRSNAP"
+  uint64_t fingerprint = 0;
+  std::string_view meta;
+  std::string_view matcher;
+  std::string_view history;
+};
+
+/// The one container reader, shared by the codec and the offline
+/// validator: checks the magic, the format version, the section framing
+/// and every section's checksum, skips unknown section tags and requires
+/// META, MATCHER and HISTORY. Returns ParseError naming the first
+/// violation. Comparing the fingerprint is left to the caller. Defined
+/// in snapshot.cc.
+Status ReadRecordSections(std::string_view record, RecordSections* out);
 
 }  // namespace somr::state

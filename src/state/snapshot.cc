@@ -1,12 +1,13 @@
 #include "state/snapshot.h"
 
 #include <algorithm>
-#include <istream>
-#include <iterator>
-#include <ostream>
+#include <cmath>
 #include <utility>
 
+#include "common/check.h"
 #include "common/hash.h"
+#include "matching/validate.h"
+#include "obs/trace.h"
 #include "state/serde.h"
 
 namespace somr::state {
@@ -18,6 +19,13 @@ namespace {
 constexpr uint32_t kSectionMeta = 1;
 constexpr uint32_t kSectionMatcher = 2;
 constexpr uint32_t kSectionHistory = 3;
+
+// u32 tag | u64 payload size | u64 checksum.
+constexpr size_t kSectionHeaderBytes = 4 + 8 + 8;
+
+constexpr extract::ObjectType kObjectTypes[] = {
+    extract::ObjectType::kTable, extract::ObjectType::kInfobox,
+    extract::ObjectType::kList};
 
 void AppendStringVec(const std::vector<std::string>& values, ByteWriter& w) {
   w.U64(values.size());
@@ -80,87 +88,45 @@ void AppendFlatBag(const FlatBag& bag, ByteWriter& w) {
   }
 }
 
-Status ReadFlatBag(ByteReader& r, FlatBag* bag) {
+/// Reads one rear-view window bag; its token ids must name spellings of
+/// a pool that holds `pool_size` of them.
+Status ReadFlatBag(ByteReader& r, uint64_t pool_size, FlatBag* bag) {
   uint64_t count = 0;
   SOMR_RETURN_IF_ERROR(r.Count(&count, 12));
   std::vector<FlatEntry> entries;
   entries.reserve(static_cast<size_t>(count));
-  uint32_t prev_id = 0;
   for (uint64_t i = 0; i < count; ++i) {
     FlatEntry e;
     SOMR_RETURN_IF_ERROR(r.U32(&e.id));
     SOMR_RETURN_IF_ERROR(r.F64(&e.count));
-    if (i > 0 && e.id <= prev_id) {
+    if (i > 0 && e.id <= entries.back().id) {
       return Status::ParseError(
           "snapshot corrupt: flat bag ids not strictly ascending");
     }
-    if (!(e.count > 0.0)) {
+    if (e.id >= pool_size) {
       return Status::ParseError(
-          "snapshot corrupt: non-positive flat bag count");
+          "snapshot corrupt: flat bag id outside token pool");
     }
-    prev_id = e.id;
+    // Window bags count token occurrences: whole numbers from 1 up,
+    // small enough that weighted totals stay finite and exact.
+    if (!(e.count >= 1.0 && e.count <= 0x1p53) ||
+        e.count != std::floor(e.count)) {
+      return Status::ParseError(
+          "snapshot corrupt: flat bag count is not an occurrence count");
+    }
     entries.push_back(e);
   }
   *bag = FlatBag::FromEntries(std::move(entries));
   return Status::OK();
 }
 
-void AppendStats(const matching::MatchStats& stats, ByteWriter& w) {
-  w.U64(stats.similarities_computed);
-  w.U64(stats.stage1_matches);
-  w.U64(stats.stage2_matches);
-  w.U64(stats.stage3_matches);
-  w.U64(stats.new_objects);
-  w.U64(stats.pairs_pruned);
-  w.U64(stats.step_millis.size());
-  for (double ms : stats.step_millis) w.F64(ms);
-}
-
-Status ReadStats(ByteReader& r, matching::MatchStats* stats) {
-  uint64_t similarities = 0, s1 = 0, s2 = 0, s3 = 0;
-  uint64_t new_objects = 0, pruned = 0;
-  SOMR_RETURN_IF_ERROR(r.U64(&similarities));
-  SOMR_RETURN_IF_ERROR(r.U64(&s1));
-  SOMR_RETURN_IF_ERROR(r.U64(&s2));
-  SOMR_RETURN_IF_ERROR(r.U64(&s3));
-  SOMR_RETURN_IF_ERROR(r.U64(&new_objects));
-  SOMR_RETURN_IF_ERROR(r.U64(&pruned));
-  stats->similarities_computed = similarities;
-  stats->stage1_matches = s1;
-  stats->stage2_matches = s2;
-  stats->stage3_matches = s3;
-  stats->new_objects = new_objects;
-  stats->pairs_pruned = pruned;
-  uint64_t steps = 0;
-  SOMR_RETURN_IF_ERROR(r.Count(&steps, 8));
-  stats->step_millis.clear();
-  stats->step_millis.reserve(static_cast<size_t>(steps));
-  for (uint64_t i = 0; i < steps; ++i) {
-    double ms = 0.0;
-    SOMR_RETURN_IF_ERROR(r.F64(&ms));
-    stats->step_millis.push_back(ms);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
-/// Friend of TemporalMatcher/PageMatcher: flattens the complete online
-/// matching state into snapshot bytes and restores it bit-for-bit.
+/// Friend of TemporalMatcher/PageMatcher: encodes what changed in the
+/// online matching state since a watermark — everything, from the empty
+/// watermark — and replays such records bit-for-bit.
 class MatcherSerde {
  public:
-  static void Append(const matching::PageMatcher& matcher, ByteWriter& w) {
-    AppendOne(matcher.tables_, w);
-    AppendOne(matcher.infoboxes_, w);
-    AppendOne(matcher.lists_, w);
-  }
-
-  static Status Restore(ByteReader& r, matching::PageMatcher& matcher) {
-    SOMR_RETURN_IF_ERROR(RestoreOne(r, matcher.tables_));
-    SOMR_RETURN_IF_ERROR(RestoreOne(r, matcher.infoboxes_));
-    return RestoreOne(r, matcher.lists_);
-  }
-
   static void Capture(const matching::PageMatcher& matcher,
                       SnapshotWatermark* mark) {
     mark->types[0] = CaptureOne(matcher.tables_);
@@ -187,6 +153,16 @@ class MatcherSerde {
     return RestoreOneDelta(r, matcher.lists_);
   }
 
+  /// Derived structures (retrieval index, incremental IOF document
+  /// frequencies) are never serialized: rebuild them once the whole
+  /// chain is restored — the rebuilt index retrieves identically by
+  /// construction.
+  static void RebuildDerivedState(matching::PageMatcher& matcher) {
+    matcher.tables_.RebuildDerivedState();
+    matcher.infoboxes_.RebuildDerivedState();
+    matcher.lists_.RebuildDerivedState();
+  }
+
  private:
   static TypeWatermark CaptureOne(const matching::TemporalMatcher& m) {
     TypeWatermark mark;
@@ -196,6 +172,8 @@ class MatcherSerde {
     return mark;
   }
 
+  /// Whole payload of a *new* object: tie-break bookkeeping and its
+  /// entire rear-view window.
   static void AppendTrackedPayload(
       const matching::TemporalMatcher::Tracked& t, ByteWriter& w) {
     w.U32(static_cast<uint32_t>(t.last_position));
@@ -220,13 +198,7 @@ class MatcherSerde {
     t->recent_flat.clear();
     for (uint64_t b = 0; b < flat_count; ++b) {
       FlatBag bag;
-      SOMR_RETURN_IF_ERROR(ReadFlatBag(r, &bag));
-      for (const FlatEntry& e : bag.entries()) {
-        if (e.id >= pool_size) {
-          return Status::ParseError(
-              "snapshot corrupt: flat bag id outside token pool");
-        }
-      }
+      SOMR_RETURN_IF_ERROR(ReadFlatBag(r, pool_size, &bag));
       t->recent_flat.push_back(std::move(bag));
     }
     return Status::OK();
@@ -278,13 +250,7 @@ class MatcherSerde {
     }
     for (uint64_t b = 0; b < flat_sent; ++b) {
       FlatBag bag;
-      SOMR_RETURN_IF_ERROR(ReadFlatBag(r, &bag));
-      for (const FlatEntry& e : bag.entries()) {
-        if (e.id >= pool_size) {
-          return Status::ParseError(
-              "delta corrupt: flat bag id outside token pool");
-        }
-      }
+      SOMR_RETURN_IF_ERROR(ReadFlatBag(r, pool_size, &bag));
       t->recent_flat.push_back(std::move(bag));
     }
     while (t->recent_flat.size() > flat_final) t->recent_flat.pop_front();
@@ -295,7 +261,8 @@ class MatcherSerde {
   /// watermark counters make the touched set derivable — a Tracked
   /// entry mutates only when its object matches a revision, which
   /// stamps `last_revision` at or past the base revision count, and
-  /// pool/objects/steps only grow.
+  /// pool/objects/steps only grow. From the empty watermark every
+  /// object is new, which makes this the full encoding too.
   static Status AppendOneDelta(const matching::TemporalMatcher& m,
                                const TypeWatermark& base,
                                uint32_t base_revisions, ByteWriter& w) {
@@ -317,40 +284,43 @@ class MatcherSerde {
     w.U64(base.object_count);
     w.U64(base.step_count);
 
-    std::vector<size_t> touched;
+    auto touched = [&](size_t i) {
+      return i >= base.object_count ||
+             m.tracked_[i].last_revision >= static_cast<int>(base_revisions);
+    };
+    uint64_t touched_count = 0;
     for (size_t i = 0; i < m.tracked_.size(); ++i) {
-      if (i >= base.object_count ||
-          m.tracked_[i].last_revision >=
-              static_cast<int>(base_revisions)) {
-        touched.push_back(i);
-      }
+      if (touched(i)) ++touched_count;
     }
     const auto& objects = m.graph_.objects();
-    w.U64(touched.size());
-    for (size_t i : touched) {
+    w.U64(touched_count);
+    for (size_t i = 0; i < m.tracked_.size(); ++i) {
+      if (!touched(i)) continue;
       const auto& t = m.tracked_[i];
       const bool is_new = i >= base.object_count;
       w.I64(t.id);
       w.U8(is_new ? 1 : 0);
       // Version-chain tail: a new object ships its whole chain, an
-      // existing one only the refs appended since the base revision.
-      std::vector<matching::VersionRef> tail;
-      for (const matching::VersionRef& ref : objects[i].versions) {
-        if (is_new || ref.revision >= static_cast<int>(base_revisions)) {
-          tail.push_back(ref);
-        }
+      // existing one only the refs appended since the base revision —
+      // a suffix, since chains are revision-ascending.
+      const std::vector<matching::VersionRef>& versions =
+          objects[i].versions;
+      size_t first = is_new ? 0 : versions.size();
+      while (first > 0 && versions[first - 1].revision >=
+                              static_cast<int>(base_revisions)) {
+        --first;
       }
-      w.U64(tail.size());
-      for (const matching::VersionRef& ref : tail) {
-        w.U32(static_cast<uint32_t>(ref.revision));
-        w.U32(static_cast<uint32_t>(ref.position));
+      w.U64(versions.size() - first);
+      for (size_t v = first; v < versions.size(); ++v) {
+        w.U32(static_cast<uint32_t>(versions[v].revision));
+        w.U32(static_cast<uint32_t>(versions[v].position));
       }
       // A new object ships its whole payload; an existing one only the
       // window entries its version tail appended.
       if (is_new) {
         AppendTrackedPayload(t, w);
       } else {
-        AppendTrackedPayloadTail(t, tail.size(), w);
+        AppendTrackedPayloadTail(t, versions.size() - first, w);
       }
     }
 
@@ -369,12 +339,15 @@ class MatcherSerde {
     return Status::OK();
   }
 
+  /// Replays one AppendOneDelta payload onto `m`, which must hold
+  /// exactly the record's base (enforced via the encoded base counts).
+  /// Leaves the derived structures stale: see RebuildDerivedState.
   static Status RestoreOneDelta(ByteReader& r,
                                 matching::TemporalMatcher& m) {
     uint8_t type = 0;
     SOMR_RETURN_IF_ERROR(r.U8(&type));
     if (type != static_cast<uint8_t>(m.type_)) {
-      return Status::ParseError("delta corrupt: matcher type mismatch");
+      return Status::ParseError("snapshot corrupt: matcher type mismatch");
     }
 
     uint64_t base_pool = 0;
@@ -388,11 +361,11 @@ class MatcherSerde {
     uint64_t new_spellings = 0;
     SOMR_RETURN_IF_ERROR(r.Count(&new_spellings, 8));
     for (uint64_t i = 0; i < new_spellings; ++i) {
-      std::string spelling;
-      SOMR_RETURN_IF_ERROR(r.Str(&spelling));
+      std::string_view spelling;
+      SOMR_RETURN_IF_ERROR(r.StrView(&spelling));
       if (m.pool_.Intern(spelling) != base_pool + i) {
         return Status::ParseError(
-            "delta corrupt: duplicate token pool spelling");
+            "snapshot corrupt: duplicate token pool spelling");
       }
     }
 
@@ -418,14 +391,14 @@ class MatcherSerde {
       SOMR_RETURN_IF_ERROR(r.I64(&id));
       SOMR_RETURN_IF_ERROR(r.U8(&is_new));
       if (is_new > 1 || id <= prev_id) {
-        return Status::ParseError("delta corrupt: touched ids not "
+        return Status::ParseError("snapshot corrupt: touched ids not "
                                   "strictly ascending");
       }
       prev_id = id;
       if (is_new == 1) {
         if (id != static_cast<int64_t>(m.tracked_.size())) {
           return Status::ParseError(
-              "delta corrupt: non-sequential new object id");
+              "snapshot corrupt: non-sequential new object id");
         }
       } else if (id < 0 || id >= static_cast<int64_t>(base_objects)) {
         return Status::ParseError(
@@ -436,7 +409,7 @@ class MatcherSerde {
       SOMR_RETURN_IF_ERROR(r.Count(&tail_count, 8));
       if (is_new == 1 && tail_count == 0) {
         return Status::ParseError(
-            "delta corrupt: new object without versions");
+            "snapshot corrupt: new object without versions");
       }
       for (uint64_t v = 0; v < tail_count; ++v) {
         uint32_t revision = 0, position = 0;
@@ -447,7 +420,7 @@ class MatcherSerde {
         if (is_new == 1 && v == 0) {
           if (m.graph_.AddObject(ref) != id) {
             return Status::ParseError(
-                "delta corrupt: graph id drifted from tracked id");
+                "snapshot corrupt: graph id drifted from tracked id");
           }
         } else {
           m.graph_.AppendVersion(id, ref);
@@ -481,116 +454,6 @@ class MatcherSerde {
       SOMR_RETURN_IF_ERROR(r.F64(&ms));
       m.stats_.step_millis.push_back(ms);
     }
-    m.RebuildDerivedState();
-    return Status::OK();
-  }
-  static void AppendOne(const matching::TemporalMatcher& m, ByteWriter& w) {
-    w.U8(static_cast<uint8_t>(m.type_));
-
-    // Token pool: spellings in id order; ids are implicit (dense from 0).
-    w.U64(m.pool_.size());
-    for (uint32_t id = 0; id < m.pool_.size(); ++id) {
-      w.Str(m.pool_.Spelling(id));
-    }
-
-    // Identity graph: per object its id and version chain.
-    const auto& objects = m.graph_.objects();
-    w.U64(objects.size());
-    for (const matching::TrackedObjectRecord& object : objects) {
-      w.I64(object.object_id);
-      w.U64(object.versions.size());
-      for (const matching::VersionRef& ref : object.versions) {
-        w.U32(static_cast<uint32_t>(ref.revision));
-        w.U32(static_cast<uint32_t>(ref.position));
-      }
-    }
-
-    // Tracked objects: rear-view windows and tie-break bookkeeping.
-    w.U64(m.tracked_.size());
-    for (const auto& t : m.tracked_) {
-      w.I64(t.id);
-      AppendTrackedPayload(t, w);
-    }
-
-    AppendStats(m.stats_, w);
-  }
-
-  static Status RestoreOne(ByteReader& r, matching::TemporalMatcher& m) {
-    uint8_t type = 0;
-    SOMR_RETURN_IF_ERROR(r.U8(&type));
-    if (type != static_cast<uint8_t>(m.type_)) {
-      return Status::ParseError(
-          "snapshot corrupt: matcher object type mismatch");
-    }
-
-    m.pool_ = TokenPool();
-    uint64_t pool_size = 0;
-    SOMR_RETURN_IF_ERROR(r.Count(&pool_size, 8));
-    for (uint64_t i = 0; i < pool_size; ++i) {
-      std::string spelling;
-      SOMR_RETURN_IF_ERROR(r.Str(&spelling));
-      if (m.pool_.Intern(spelling) != i) {
-        return Status::ParseError(
-            "snapshot corrupt: duplicate token pool spelling");
-      }
-    }
-
-    m.graph_ = matching::IdentityGraph(m.type_);
-    uint64_t object_count = 0;
-    SOMR_RETURN_IF_ERROR(r.Count(&object_count, 16));
-    for (uint64_t i = 0; i < object_count; ++i) {
-      int64_t object_id = 0;
-      SOMR_RETURN_IF_ERROR(r.I64(&object_id));
-      uint64_t version_count = 0;
-      SOMR_RETURN_IF_ERROR(r.Count(&version_count, 8));
-      if (version_count == 0) {
-        return Status::ParseError(
-            "snapshot corrupt: identity graph object without versions");
-      }
-      int64_t restored_id = -1;
-      for (uint64_t v = 0; v < version_count; ++v) {
-        uint32_t revision = 0, position = 0;
-        SOMR_RETURN_IF_ERROR(r.U32(&revision));
-        SOMR_RETURN_IF_ERROR(r.U32(&position));
-        matching::VersionRef ref{static_cast<int>(revision),
-                                 static_cast<int>(position)};
-        if (v == 0) {
-          restored_id = m.graph_.AddObject(ref);
-        } else {
-          m.graph_.AppendVersion(restored_id, ref);
-        }
-      }
-      if (restored_id != object_id) {
-        return Status::ParseError(
-            "snapshot corrupt: non-sequential identity graph object id");
-      }
-    }
-
-    m.tracked_.clear();
-    uint64_t tracked_count = 0;
-    SOMR_RETURN_IF_ERROR(r.Count(&tracked_count, 28));
-    if (tracked_count != object_count) {
-      return Status::ParseError(
-          "snapshot corrupt: tracked count != identity graph objects");
-    }
-    m.tracked_.reserve(static_cast<size_t>(tracked_count));
-    for (uint64_t i = 0; i < tracked_count; ++i) {
-      matching::TemporalMatcher::Tracked t;
-      SOMR_RETURN_IF_ERROR(r.I64(&t.id));
-      if (t.id != static_cast<int64_t>(i)) {
-        return Status::ParseError(
-            "snapshot corrupt: tracked id out of order");
-      }
-      SOMR_RETURN_IF_ERROR(ReadTrackedPayload(r, m.pool_.size(), &t));
-      m.tracked_.push_back(std::move(t));
-    }
-
-    m.stats_ = matching::MatchStats();
-    SOMR_RETURN_IF_ERROR(ReadStats(r, &m.stats_));
-    // Derived structures (retrieval index, incremental IOF document
-    // frequencies) are never serialized: rebuild them from the restored
-    // windows — the rebuilt index retrieves identically by construction.
-    m.RebuildDerivedState();
     return Status::OK();
   }
 };
@@ -618,87 +481,61 @@ uint64_t ConfigFingerprint(const matching::MatcherConfig& config) {
   return Fnv1a64(w.bytes());
 }
 
-Status SavePageSnapshot(const PageState& state, std::ostream& out) {
-  ByteWriter meta;
-  meta.Str(state.title);
-  meta.I64(state.page_id);
-  meta.I64(state.last_revision_id);
-  meta.I64(state.last_timestamp);
-  meta.U32(state.revisions_ingested);
-
-  ByteWriter matcher;
-  MatcherSerde::Append(state.matcher, matcher);
-
-  ByteWriter history;
-  history.U64(state.revisions.size());
-  for (const extract::PageObjects& objects : state.revisions) {
-    for (const extract::ObjectType type :
-         {extract::ObjectType::kTable, extract::ObjectType::kInfobox,
-          extract::ObjectType::kList}) {
-      const auto& bucket = objects.OfType(type);
-      history.U64(bucket.size());
-      for (const extract::ObjectInstance& obj : bucket) {
-        AppendInstance(obj, history);
-      }
-    }
-  }
-  history.U64(state.timestamps.size());
-  for (UnixSeconds t : state.timestamps) history.I64(t);
-
-  ByteWriter header;
-  for (char c : kMagic) header.U8(static_cast<uint8_t>(c));
-  header.U32(kFormatVersion);
-  header.U64(ConfigFingerprint(state.matcher.config()));
-  header.U32(3);  // section count
-
-  auto write_section = [&out](uint32_t tag, const std::string& payload) {
-    ByteWriter section_header;
-    section_header.U32(tag);
-    section_header.U64(payload.size());
-    section_header.U64(Fnv1a64(payload));
-    out.write(section_header.bytes().data(),
-              static_cast<std::streamsize>(section_header.size()));
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  };
-
-  out.write(header.bytes().data(),
-            static_cast<std::streamsize>(header.size()));
-  write_section(kSectionMeta, meta.bytes());
-  write_section(kSectionMatcher, matcher.bytes());
-  write_section(kSectionHistory, history.bytes());
-  out.flush();
-  if (!out.good()) {
-    return Status::Internal("snapshot write failed (stream error)");
-  }
-  return Status::OK();
+SnapshotWatermark CaptureWatermark(const PageState& state) {
+  SnapshotWatermark mark;
+  mark.revisions_ingested = state.revisions_ingested;
+  MatcherSerde::Capture(state.matcher, &mark);
+  return mark;
 }
 
 namespace {
 
-Status LoadMeta(ByteReader& r, PageState* state) {
-  SOMR_RETURN_IF_ERROR(r.Str(&state->title));
-  SOMR_RETURN_IF_ERROR(r.I64(&state->page_id));
-  SOMR_RETURN_IF_ERROR(r.I64(&state->last_revision_id));
-  SOMR_RETURN_IF_ERROR(r.I64(&state->last_timestamp));
-  SOMR_RETURN_IF_ERROR(r.U32(&state->revisions_ingested));
-  if (!r.AtEnd()) {
-    return Status::ParseError("snapshot corrupt: meta section overlong");
-  }
+/// Writes one section — `u32 tag | u64 payload size | u64 FNV-1a64
+/// checksum | payload` — with `fill` appending the payload straight
+/// into `w`; the size and checksum are patched in after it.
+template <typename Fill>
+Status WriteSection(ByteWriter& w, uint32_t tag, Fill fill) {
+  const size_t header = w.size();
+  w.U32(tag);
+  w.U64(0);
+  w.U64(0);
+  SOMR_RETURN_IF_ERROR(fill());
+  const size_t payload = header + kSectionHeaderBytes;
+  w.PatchU64(header + 4, w.size() - payload);
+  w.PatchU64(header + 12,
+             Fnv1a64(std::string_view(w.bytes()).substr(payload)));
   return Status::OK();
 }
 
-Status LoadHistory(ByteReader& r, PageState* state) {
-  uint64_t revision_count = 0;
-  SOMR_RETURN_IF_ERROR(r.Count(&revision_count, 24));
-  state->revisions.clear();
-  state->revisions.resize(static_cast<size_t>(revision_count));
-  for (uint64_t i = 0; i < revision_count; ++i) {
-    for (const extract::ObjectType type :
-         {extract::ObjectType::kTable, extract::ObjectType::kInfobox,
-          extract::ObjectType::kList}) {
+/// Appends the history entries from revision `from` on.
+void AppendHistory(const PageState& state, uint32_t from, ByteWriter& w) {
+  w.U64(state.revisions.size() - from);
+  for (size_t i = from; i < state.revisions.size(); ++i) {
+    for (const extract::ObjectType type : kObjectTypes) {
+      const auto& bucket = state.revisions[i].OfType(type);
+      w.U64(bucket.size());
+      for (const extract::ObjectInstance& obj : bucket) {
+        AppendInstance(obj, w);
+      }
+    }
+  }
+  w.U64(state.timestamps.size() - from);
+  for (size_t i = from; i < state.timestamps.size(); ++i) {
+    w.I64(state.timestamps[i]);
+  }
+}
+
+Status ReadHistory(ByteReader& r, PageState* state) {
+  uint64_t new_revisions = 0;
+  SOMR_RETURN_IF_ERROR(r.Count(&new_revisions, 24));
+  state->revisions.reserve(state->revisions.size() +
+                           static_cast<size_t>(new_revisions));
+  for (uint64_t i = 0; i < new_revisions; ++i) {
+    extract::PageObjects objects;
+    for (const extract::ObjectType type : kObjectTypes) {
       uint64_t bucket_size = 0;
       SOMR_RETURN_IF_ERROR(r.Count(&bucket_size, 29));
-      auto& bucket = state->revisions[i].OfType(type);
+      auto& bucket = objects.OfType(type);
       bucket.resize(static_cast<size_t>(bucket_size));
       for (uint64_t o = 0; o < bucket_size; ++o) {
         SOMR_RETURN_IF_ERROR(ReadInstance(r, &bucket[o]));
@@ -708,16 +545,15 @@ Status LoadHistory(ByteReader& r, PageState* state) {
         }
       }
     }
+    state->revisions.push_back(std::move(objects));
   }
-  uint64_t timestamp_count = 0;
-  SOMR_RETURN_IF_ERROR(r.Count(&timestamp_count, 8));
-  if (timestamp_count != revision_count) {
+  uint64_t new_timestamps = 0;
+  SOMR_RETURN_IF_ERROR(r.Count(&new_timestamps, 8));
+  if (new_timestamps != new_revisions) {
     return Status::ParseError(
-        "snapshot corrupt: timestamp count != revision count");
+        "snapshot corrupt: timestamp tail != revision tail");
   }
-  state->timestamps.clear();
-  state->timestamps.reserve(static_cast<size_t>(timestamp_count));
-  for (uint64_t i = 0; i < timestamp_count; ++i) {
+  for (uint64_t i = 0; i < new_timestamps; ++i) {
     int64_t t = 0;
     SOMR_RETURN_IF_ERROR(r.I64(&t));
     state->timestamps.push_back(t);
@@ -728,45 +564,89 @@ Status LoadHistory(ByteReader& r, PageState* state) {
   return Status::OK();
 }
 
+/// Applies one record to `state`, which must be exactly the record's
+/// base — the empty state for a full record — as the base counts in
+/// every section enforce.
+Status ApplyRecord(const RecordSections& sections, PageState* state) {
+  ByteReader meta(sections.meta);
+  std::string title;
+  int64_t page_id = 0, last_revision_id = 0, last_timestamp = 0;
+  uint32_t revisions_ingested = 0, base_revisions = 0;
+  SOMR_RETURN_IF_ERROR(meta.Str(&title));
+  SOMR_RETURN_IF_ERROR(meta.I64(&page_id));
+  SOMR_RETURN_IF_ERROR(meta.I64(&last_revision_id));
+  SOMR_RETURN_IF_ERROR(meta.I64(&last_timestamp));
+  SOMR_RETURN_IF_ERROR(meta.U32(&revisions_ingested));
+  SOMR_RETURN_IF_ERROR(meta.U32(&base_revisions));
+  if (!meta.AtEnd()) {
+    return Status::ParseError("snapshot corrupt: meta section overlong");
+  }
+  if (sections.delta && title != state->title) {
+    return Status::ParseError("delta is for page \"" + title +
+                              "\", applied to \"" + state->title + "\"");
+  }
+  if (base_revisions != state->revisions_ingested) {
+    return Status::ParseError(
+        "delta base mismatch: base has " +
+        std::to_string(state->revisions_ingested) +
+        " revisions, record expects " + std::to_string(base_revisions));
+  }
+
+  ByteReader matcher(sections.matcher);
+  SOMR_RETURN_IF_ERROR(MatcherSerde::RestoreDelta(matcher, state->matcher));
+  if (!matcher.AtEnd()) {
+    return Status::ParseError("snapshot corrupt: matcher section overlong");
+  }
+  ByteReader history(sections.history);
+  SOMR_RETURN_IF_ERROR(ReadHistory(history, state));
+
+  state->title = std::move(title);
+  state->page_id = page_id;
+  state->last_revision_id = last_revision_id;
+  state->last_timestamp = last_timestamp;
+  state->revisions_ingested = revisions_ingested;
+  if (state->revisions.size() != state->revisions_ingested) {
+    return Status::ParseError(
+        "snapshot corrupt: history length != ingested revision count");
+  }
+  return Status::OK();
+}
+
+/// A decoded state must be one the matcher could have produced: every
+/// checksum can be right while a field was edited before it was taken.
+Status CheckDecodedState(const PageState& state) {
+  ValidationReport report;
+  state.matcher.Validate(&report);
+  for (const extract::ObjectType type : kObjectTypes) {
+    matching::ValidateGraphAgainstHistory(state.matcher.GraphFor(type),
+                                          state.revisions, &report);
+  }
+  if (report.ok()) return Status::OK();
+  const ValidationIssue& first = report.issues().front();
+  return Status::ParseError("snapshot corrupt: decoded state violates " +
+                            first.validator + ": " + first.detail);
+}
+
 }  // namespace
 
-Status LoadPageSnapshot(std::istream& in,
-                        const matching::MatcherConfig& config,
-                        PageState* state) {
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return Status::Internal("snapshot read failed (stream error)");
+Status ReadRecordSections(std::string_view record, RecordSections* out) {
+  const std::string_view magic = record.substr(0, sizeof(kMagic));
+  out->delta = magic == std::string_view(kDeltaMagic, sizeof(kDeltaMagic));
+  if (!out->delta && magic != std::string_view(kMagic, sizeof(kMagic))) {
+    return Status::ParseError("not a somr snapshot record (bad magic)");
   }
-  ByteReader r(data);
-
-  for (char expected : kMagic) {
-    uint8_t byte = 0;
-    SOMR_RETURN_IF_ERROR(r.U8(&byte));
-    if (byte != static_cast<uint8_t>(expected)) {
-      return Status::ParseError("not a somr snapshot (bad magic)");
-    }
-  }
+  ByteReader r(record.substr(sizeof(kMagic)));
   uint32_t version = 0;
   SOMR_RETURN_IF_ERROR(r.U32(&version));
   if (version != kFormatVersion) {
-    return Status::ParseError("unsupported snapshot format version " +
-                              std::to_string(version));
+    return Status::ParseError(
+        "snapshot record has unsupported format version " +
+        std::to_string(version) + " (expected " +
+        std::to_string(kFormatVersion) + ")");
   }
-  uint64_t fingerprint = 0;
-  SOMR_RETURN_IF_ERROR(r.U64(&fingerprint));
-  if (fingerprint != ConfigFingerprint(config)) {
-    return Status::InvalidArgument(
-        "snapshot was written under a different MatcherConfig "
-        "(config fingerprint mismatch); refusing to resume");
-  }
-
+  SOMR_RETURN_IF_ERROR(r.U64(&out->fingerprint));
   uint32_t section_count = 0;
   SOMR_RETURN_IF_ERROR(r.U32(&section_count));
-
-  // Parse into a scratch state so a corrupt section never leaves the
-  // caller's state half-restored.
-  PageState loaded(config);
   bool have_meta = false, have_matcher = false, have_history = false;
   for (uint32_t s = 0; s < section_count; ++s) {
     uint32_t tag = 0;
@@ -774,7 +654,7 @@ Status LoadPageSnapshot(std::istream& in,
     SOMR_RETURN_IF_ERROR(r.U32(&tag));
     SOMR_RETURN_IF_ERROR(r.U64(&size));
     SOMR_RETURN_IF_ERROR(r.U64(&checksum));
-    std::string payload;
+    std::string_view payload;
     if (!r.Bytes(size, &payload).ok()) {
       return Status::ParseError("snapshot truncated: section " +
                                 std::to_string(tag) + " payload cut short");
@@ -783,22 +663,17 @@ Status LoadPageSnapshot(std::istream& in,
       return Status::ParseError("snapshot corrupt: section " +
                                 std::to_string(tag) + " checksum mismatch");
     }
-    ByteReader section(payload);
     switch (tag) {
       case kSectionMeta:
-        SOMR_RETURN_IF_ERROR(LoadMeta(section, &loaded));
+        out->meta = payload;
         have_meta = true;
         break;
       case kSectionMatcher:
-        SOMR_RETURN_IF_ERROR(MatcherSerde::Restore(section, loaded.matcher));
-        if (!section.AtEnd()) {
-          return Status::ParseError(
-              "snapshot corrupt: matcher section overlong");
-        }
+        out->matcher = payload;
         have_matcher = true;
         break;
       case kSectionHistory:
-        SOMR_RETURN_IF_ERROR(LoadHistory(section, &loaded));
+        out->history = payload;
         have_history = true;
         break;
       default:
@@ -811,253 +686,80 @@ Status LoadPageSnapshot(std::istream& in,
   if (!have_meta || !have_matcher || !have_history) {
     return Status::ParseError("snapshot corrupt: missing required section");
   }
-  if (loaded.revisions.size() != loaded.revisions_ingested) {
-    return Status::ParseError(
-        "snapshot corrupt: history length != ingested revision count");
-  }
-  *state = std::move(loaded);
   return Status::OK();
 }
 
-SnapshotWatermark CaptureWatermark(const PageState& state) {
-  SnapshotWatermark mark;
-  mark.revisions_ingested = state.revisions_ingested;
-  MatcherSerde::Capture(state.matcher, &mark);
-  return mark;
-}
-
-Status SavePageDelta(const PageState& state, const SnapshotWatermark& base,
-                     std::ostream& out) {
-  if (state.revisions_ingested < base.revisions_ingested ||
-      state.revisions.size() != state.revisions_ingested ||
+StatusOr<std::string> EncodePageRecord(const PageState& state,
+                                       const SnapshotWatermark* base) {
+  const SnapshotWatermark from =
+      base != nullptr ? *base : SnapshotWatermark{};
+  if (state.revisions.size() != state.revisions_ingested ||
       state.timestamps.size() != state.revisions_ingested) {
+    return Status::InvalidArgument(
+        "page state history length != ingested revision count");
+  }
+  if (state.revisions_ingested < from.revisions_ingested) {
     return Status::InvalidArgument(
         "delta base is not an ancestor of this state");
   }
 
-  ByteWriter meta;
-  meta.Str(state.title);
-  meta.I64(state.page_id);
-  meta.I64(state.last_revision_id);
-  meta.I64(state.last_timestamp);
-  meta.U32(state.revisions_ingested);
-  meta.U32(base.revisions_ingested);
-
-  ByteWriter matcher;
-  SOMR_RETURN_IF_ERROR(
-      MatcherSerde::AppendDelta(state.matcher, base, matcher));
-
-  ByteWriter history;
-  history.U64(state.revisions.size() - base.revisions_ingested);
-  for (size_t i = base.revisions_ingested; i < state.revisions.size();
-       ++i) {
-    for (const extract::ObjectType type :
-         {extract::ObjectType::kTable, extract::ObjectType::kInfobox,
-          extract::ObjectType::kList}) {
-      const auto& bucket = state.revisions[i].OfType(type);
-      history.U64(bucket.size());
-      for (const extract::ObjectInstance& obj : bucket) {
-        AppendInstance(obj, history);
-      }
-    }
+  ByteWriter w;
+  for (char c : base != nullptr ? kDeltaMagic : kMagic) {
+    w.U8(static_cast<uint8_t>(c));
   }
-  history.U64(state.timestamps.size() - base.revisions_ingested);
-  for (size_t i = base.revisions_ingested; i < state.timestamps.size();
-       ++i) {
-    history.I64(state.timestamps[i]);
-  }
-
-  ByteWriter header;
-  for (char c : kDeltaMagic) header.U8(static_cast<uint8_t>(c));
-  header.U32(kFormatVersion);
-  header.U64(ConfigFingerprint(state.matcher.config()));
-  header.U32(3);  // section count
-
-  auto write_section = [&out](uint32_t tag, const std::string& payload) {
-    ByteWriter section_header;
-    section_header.U32(tag);
-    section_header.U64(payload.size());
-    section_header.U64(Fnv1a64(payload));
-    out.write(section_header.bytes().data(),
-              static_cast<std::streamsize>(section_header.size()));
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  };
-
-  out.write(header.bytes().data(),
-            static_cast<std::streamsize>(header.size()));
-  write_section(kSectionMeta, meta.bytes());
-  write_section(kSectionMatcher, matcher.bytes());
-  write_section(kSectionHistory, history.bytes());
-  out.flush();
-  if (!out.good()) {
-    return Status::Internal("delta write failed (stream error)");
-  }
-  return Status::OK();
+  w.U32(kFormatVersion);
+  w.U64(ConfigFingerprint(state.matcher.config()));
+  w.U32(3);  // section count
+  SOMR_RETURN_IF_ERROR(WriteSection(w, kSectionMeta, [&] {
+    w.Str(state.title);
+    w.I64(state.page_id);
+    w.I64(state.last_revision_id);
+    w.I64(state.last_timestamp);
+    w.U32(state.revisions_ingested);
+    w.U32(from.revisions_ingested);
+    return Status::OK();
+  }));
+  SOMR_RETURN_IF_ERROR(WriteSection(w, kSectionMatcher, [&] {
+    return MatcherSerde::AppendDelta(state.matcher, from, w);
+  }));
+  SOMR_RETURN_IF_ERROR(WriteSection(w, kSectionHistory, [&] {
+    AppendHistory(state, from.revisions_ingested, w);
+    return Status::OK();
+  }));
+  return w.Take();
 }
 
-namespace {
-
-Status ApplyDeltaHistory(ByteReader& r, PageState* state) {
-  uint64_t new_revisions = 0;
-  SOMR_RETURN_IF_ERROR(r.Count(&new_revisions, 24));
-  for (uint64_t i = 0; i < new_revisions; ++i) {
-    extract::PageObjects objects;
-    for (const extract::ObjectType type :
-         {extract::ObjectType::kTable, extract::ObjectType::kInfobox,
-          extract::ObjectType::kList}) {
-      uint64_t bucket_size = 0;
-      SOMR_RETURN_IF_ERROR(r.Count(&bucket_size, 29));
-      auto& bucket = objects.OfType(type);
-      bucket.resize(static_cast<size_t>(bucket_size));
-      for (uint64_t o = 0; o < bucket_size; ++o) {
-        SOMR_RETURN_IF_ERROR(ReadInstance(r, &bucket[o]));
-        if (bucket[o].type != type) {
-          return Status::ParseError(
-              "delta corrupt: instance type outside its bucket");
-        }
-      }
+StatusOr<PageState> DecodePageChain(
+    const std::vector<std::string_view>& records,
+    const matching::MatcherConfig& config) {
+  if (records.empty()) {
+    return Status::ParseError("empty record chain");
+  }
+  const uint64_t fingerprint = ConfigFingerprint(config);
+  PageState state(config);
+  for (size_t i = 0; i < records.size(); ++i) {
+    RecordSections sections;
+    SOMR_RETURN_IF_ERROR(ReadRecordSections(records[i], &sections));
+    if (sections.delta != (i > 0)) {
+      return Status::ParseError(
+          i == 0 ? "record chain does not start with a full snapshot"
+                 : "record chain holds a second full snapshot");
     }
-    state->revisions.push_back(std::move(objects));
-  }
-  uint64_t new_timestamps = 0;
-  SOMR_RETURN_IF_ERROR(r.Count(&new_timestamps, 8));
-  if (new_timestamps != new_revisions) {
-    return Status::ParseError(
-        "delta corrupt: timestamp tail != revision tail");
-  }
-  for (uint64_t i = 0; i < new_timestamps; ++i) {
-    int64_t t = 0;
-    SOMR_RETURN_IF_ERROR(r.I64(&t));
-    state->timestamps.push_back(t);
-  }
-  if (!r.AtEnd()) {
-    return Status::ParseError("delta corrupt: history section overlong");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status ApplyPageDelta(std::istream& in,
-                      const matching::MatcherConfig& config,
-                      PageState* state) {
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return Status::Internal("delta read failed (stream error)");
-  }
-  ByteReader r(data);
-  for (char expected : kDeltaMagic) {
-    uint8_t byte = 0;
-    SOMR_RETURN_IF_ERROR(r.U8(&byte));
-    if (byte != static_cast<uint8_t>(expected)) {
-      return Status::ParseError("not a somr delta snapshot (bad magic)");
+    if (sections.fingerprint != fingerprint) {
+      return Status::InvalidArgument(
+          "snapshot record was written under a different MatcherConfig "
+          "(config fingerprint mismatch); refusing to resume");
+    }
+    if (i == 0) {
+      SOMR_RETURN_IF_ERROR(ApplyRecord(sections, &state));
+    } else {
+      SOMR_TRACE_SCOPE_CAT("state", "state/delta_replay");
+      SOMR_RETURN_IF_ERROR(ApplyRecord(sections, &state));
     }
   }
-  uint32_t version = 0;
-  SOMR_RETURN_IF_ERROR(r.U32(&version));
-  if (version != kFormatVersion) {
-    return Status::ParseError("unsupported delta format version " +
-                              std::to_string(version));
-  }
-  uint64_t fingerprint = 0;
-  SOMR_RETURN_IF_ERROR(r.U64(&fingerprint));
-  if (fingerprint != ConfigFingerprint(config)) {
-    return Status::InvalidArgument(
-        "delta was written under a different MatcherConfig "
-        "(config fingerprint mismatch); refusing to resume");
-  }
-
-  uint32_t section_count = 0;
-  SOMR_RETURN_IF_ERROR(r.U32(&section_count));
-  // Collect checksum-verified section payloads first: the delta must be
-  // applied meta -> matcher -> history regardless of on-disk order, and
-  // nothing should mutate `state` until the container checks out.
-  std::string meta_payload, matcher_payload, history_payload;
-  bool have_meta = false, have_matcher = false, have_history = false;
-  for (uint32_t s = 0; s < section_count; ++s) {
-    uint32_t tag = 0;
-    uint64_t size = 0, checksum = 0;
-    SOMR_RETURN_IF_ERROR(r.U32(&tag));
-    SOMR_RETURN_IF_ERROR(r.U64(&size));
-    SOMR_RETURN_IF_ERROR(r.U64(&checksum));
-    std::string payload;
-    if (!r.Bytes(size, &payload).ok()) {
-      return Status::ParseError("delta truncated: section " +
-                                std::to_string(tag) + " payload cut short");
-    }
-    if (Fnv1a64(payload) != checksum) {
-      return Status::ParseError("delta corrupt: section " +
-                                std::to_string(tag) + " checksum mismatch");
-    }
-    switch (tag) {
-      case kSectionMeta:
-        meta_payload = std::move(payload);
-        have_meta = true;
-        break;
-      case kSectionMatcher:
-        matcher_payload = std::move(payload);
-        have_matcher = true;
-        break;
-      case kSectionHistory:
-        history_payload = std::move(payload);
-        have_history = true;
-        break;
-      default:
-        break;  // unknown section: skip (checksum already verified)
-    }
-  }
-  if (!r.AtEnd()) {
-    return Status::ParseError("delta corrupt: trailing bytes");
-  }
-  if (!have_meta || !have_matcher || !have_history) {
-    return Status::ParseError("delta corrupt: missing required section");
-  }
-
-  ByteReader meta(meta_payload);
-  std::string title;
-  int64_t page_id = 0, last_revision_id = 0, last_timestamp = 0;
-  uint32_t revisions_ingested = 0, base_revisions = 0;
-  SOMR_RETURN_IF_ERROR(meta.Str(&title));
-  SOMR_RETURN_IF_ERROR(meta.I64(&page_id));
-  SOMR_RETURN_IF_ERROR(meta.I64(&last_revision_id));
-  SOMR_RETURN_IF_ERROR(meta.I64(&last_timestamp));
-  SOMR_RETURN_IF_ERROR(meta.U32(&revisions_ingested));
-  SOMR_RETURN_IF_ERROR(meta.U32(&base_revisions));
-  if (!meta.AtEnd()) {
-    return Status::ParseError("delta corrupt: meta section overlong");
-  }
-  if (title != state->title) {
-    return Status::ParseError("delta is for page \"" + title +
-                              "\", applied to \"" + state->title + "\"");
-  }
-  if (base_revisions != state->revisions_ingested ||
-      state->revisions.size() != base_revisions) {
-    return Status::ParseError(
-        "delta base mismatch: base has " +
-        std::to_string(state->revisions_ingested) +
-        " revisions, delta expects " + std::to_string(base_revisions));
-  }
-
-  ByteReader matcher(matcher_payload);
-  SOMR_RETURN_IF_ERROR(MatcherSerde::RestoreDelta(matcher, state->matcher));
-  if (!matcher.AtEnd()) {
-    return Status::ParseError("delta corrupt: matcher section overlong");
-  }
-
-  ByteReader history(history_payload);
-  SOMR_RETURN_IF_ERROR(ApplyDeltaHistory(history, state));
-
-  state->page_id = page_id;
-  state->last_revision_id = last_revision_id;
-  state->last_timestamp = last_timestamp;
-  state->revisions_ingested = revisions_ingested;
-  if (state->revisions.size() != state->revisions_ingested ||
-      state->timestamps.size() != state->revisions_ingested) {
-    return Status::ParseError(
-        "delta corrupt: replayed history length != ingested count");
-  }
-  return Status::OK();
+  MatcherSerde::RebuildDerivedState(state.matcher);
+  SOMR_RETURN_IF_ERROR(CheckDecodedState(state));
+  return state;
 }
 
 }  // namespace somr::state

@@ -1,10 +1,11 @@
 #pragma once
 
-// Snapshot-container validator (DESIGN.md §11): verifies the versioned
-// binary format written by SavePageSnapshot without materializing a
-// PageState — magic, format version, section framing within bounds, and
-// every section's FNV-1a64 checksum against its payload bytes. Optionally
-// checks the config fingerprint against an expected configuration.
+// Snapshot-container validator (DESIGN.md §11): verifies a record written
+// by EncodePageRecord without materializing a PageState — magic, format
+// version, section framing within bounds, every section's FNV-1a64
+// checksum against its payload bytes and the required sections, through
+// the codec's own container reader. Optionally checks the config
+// fingerprint against an expected configuration.
 
 #include <string_view>
 
@@ -13,9 +14,9 @@
 
 namespace somr::state {
 
-/// Appends every container-level violation found in `bytes` to `report`.
-/// With a non-null `expected_config`, also flags a fingerprint mismatch
-/// (a snapshot resumed under different thresholds/windows).
+/// Appends the first container-level violation found in `bytes` to
+/// `report`. With a non-null `expected_config`, also flags a fingerprint
+/// mismatch (a snapshot resumed under different thresholds/windows).
 void ValidateSnapshotBytes(std::string_view bytes,
                            const matching::MatcherConfig* expected_config,
                            ValidationReport* report);

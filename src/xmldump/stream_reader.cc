@@ -1,11 +1,14 @@
 #include "xmldump/stream_reader.h"
 
+#include <string_view>
+
 #include "xmldump/xml_reader.h"
 
 namespace somr::xmldump {
 
 namespace {
 constexpr size_t kChunkSize = 1 << 16;
+constexpr const char* kRootOpen = "<mediawiki";
 constexpr const char* kPageOpen = "<page>";
 constexpr const char* kPageClose = "</page>";
 }  // namespace
@@ -32,6 +35,18 @@ std::optional<PageHistory> PageStreamReader::NextPage() {
   if (done_) return std::nullopt;
 
   size_t open = FindMarker(kPageOpen, 0);
+  if (!root_seen_) {
+    // Everything before the first <page> (or the whole input, when there
+    // is none) is still buffered: a dump opens with its <mediawiki> root.
+    const size_t prefix = open == std::string::npos ? buffer_.size() : open;
+    if (std::string_view(buffer_).substr(0, prefix).find(kRootOpen) ==
+        std::string_view::npos) {
+      done_ = true;
+      status_ = Status::ParseError("no <mediawiki> root element");
+      return std::nullopt;
+    }
+    root_seen_ = true;
+  }
   if (open == std::string::npos) {
     done_ = true;
     return std::nullopt;  // clean EOF: no more pages

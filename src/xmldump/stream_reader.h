@@ -26,7 +26,8 @@ class PageStreamReader {
 
   /// Returns the next page history, or std::nullopt at end of input.
   /// Check status() after nullopt to distinguish EOF from malformed
-  /// input.
+  /// input — including input that ends, or reaches its first `<page>`,
+  /// without a `<mediawiki>` root (the error ReadDump gives it).
   std::optional<PageHistory> NextPage();
 
   const Status& status() const { return status_; }
@@ -43,6 +44,7 @@ class PageStreamReader {
   std::string buffer_;
   Status status_;
   size_t pages_read_ = 0;
+  bool root_seen_ = false;
   bool done_ = false;
 };
 

@@ -59,6 +59,15 @@ TEST(PipelineTest, BadXmlIsError) {
   EXPECT_FALSE(results.ok());
 }
 
+TEST(PipelineTest, BadXmlIsErrorWhenStreamed) {
+  Pipeline pipeline;
+  for (unsigned threads : {1u, 3u}) {
+    std::istringstream in("<garbage/>");
+    auto results = pipeline.ProcessDumpStream(in, threads);
+    EXPECT_EQ(results.status().code(), StatusCode::kParseError) << threads;
+  }
+}
+
 TEST(PipelineTest, GraphForSelectsType) {
   PageResult result;
   EXPECT_EQ(&result.GraphFor(extract::ObjectType::kTable),

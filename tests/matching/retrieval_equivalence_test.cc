@@ -6,7 +6,6 @@
 // config ablation. Also covers snapshot restore (the index is rebuilt,
 // the "retrieval_index" validator must pass).
 
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -194,13 +193,12 @@ TEST(RetrievalSnapshotTest, RestoredIndexValidatesAndContinuesIdentically) {
       first.timestamps.push_back(static_cast<UnixSeconds>(r));
       ++first.revisions_ingested;
     }
-    std::ostringstream out;
-    ASSERT_TRUE(state::SavePageSnapshot(first, out).ok());
-    std::istringstream in(out.str());
-    state::PageState resumed;
-    ASSERT_TRUE(
-        state::LoadPageSnapshot(in, matching::MatcherConfig{}, &resumed)
-            .ok());
+    StatusOr<std::string> record = state::EncodePageRecord(first, nullptr);
+    ASSERT_TRUE(record.ok()) << record.status().ToString();
+    StatusOr<state::PageState> decoded =
+        state::DecodePageChain({*record}, matching::MatcherConfig{});
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    state::PageState& resumed = *decoded;
 
     // The rebuilt index must agree with the restored windows.
     ValidationReport report;

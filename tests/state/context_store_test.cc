@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,10 +73,9 @@ class ContextStoreTest : public ::testing::Test {
   }
 
   static std::string SnapshotBytes(const PageState& state) {
-    std::ostringstream out;
-    Status status = SavePageSnapshot(state, out);
-    EXPECT_TRUE(status.ok()) << status.ToString();
-    return out.str();
+    StatusOr<std::string> record = EncodePageRecord(state, nullptr);
+    EXPECT_TRUE(record.ok()) << record.status().ToString();
+    return record.ok() ? *record : std::string();
   }
 
   // The one nonempty record shard file (single-page tests).
@@ -256,11 +254,13 @@ TEST_F(ContextStoreTest, NoTempFilesLeftBehind) {
 }
 
 TEST_F(ContextStoreTest, RefusesV1StoreWithMigrationMessage) {
-  // v1: one file per page; v2: record log of format-v3 snapshots. Both
-  // must point at the migration, not at a config mismatch.
+  // v1: one file per page; v2 and v3: record logs of format-v3 and
+  // format-v4 snapshots. All must point at the migration, not at a
+  // config mismatch.
   for (const char* header :
        {"# somr-context-store v1 config=0123456789abcdef\n",
-        "# somr-context-store v2 config=0123456789abcdef\n"}) {
+        "# somr-context-store v2 config=0123456789abcdef\n",
+        "# somr-context-store v3 config=0123456789abcdef\n"}) {
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     std::ofstream(dir_ + "/manifest.tsv") << header;

@@ -61,15 +61,9 @@ TEST_F(RecordLogTest, OpenWithoutCreateIsNotFound) {
 TEST_F(RecordLogTest, AppendAndReadChain) {
   RecordLog log(dir_, SmallOptions());
   ASSERT_TRUE(log.Open(/*create=*/true).ok());
-  ASSERT_TRUE(log.Append("k", RecordKind::kFull, "base",
-                         /*start_chain=*/true)
-                  .ok());
-  ASSERT_TRUE(log.Append("k", RecordKind::kDelta, "d1",
-                         /*start_chain=*/false)
-                  .ok());
-  ASSERT_TRUE(log.Append("k", RecordKind::kDelta, "d2",
-                         /*start_chain=*/false)
-                  .ok());
+  ASSERT_TRUE(log.Append("k", RecordKind::kFull, "base").ok());
+  ASSERT_TRUE(log.Append("k", RecordKind::kDelta, "d1").ok());
+  ASSERT_TRUE(log.Append("k", RecordKind::kDelta, "d2").ok());
 
   StatusOr<std::vector<ChainRecord>> chain = log.ReadChain("k");
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
@@ -87,15 +81,9 @@ TEST_F(RecordLogTest, AppendAndReadChain) {
 TEST_F(RecordLogTest, StartChainSupersedesOldRecords) {
   RecordLog log(dir_, SmallOptions());
   ASSERT_TRUE(log.Open(/*create=*/true).ok());
-  ASSERT_TRUE(log.Append("k", RecordKind::kFull, "old",
-                         /*start_chain=*/true)
-                  .ok());
-  ASSERT_TRUE(log.Append("k", RecordKind::kDelta, "old-delta",
-                         /*start_chain=*/false)
-                  .ok());
-  ASSERT_TRUE(log.Append("k", RecordKind::kFull, "new",
-                         /*start_chain=*/true)
-                  .ok());
+  ASSERT_TRUE(log.Append("k", RecordKind::kFull, "old").ok());
+  ASSERT_TRUE(log.Append("k", RecordKind::kDelta, "old-delta").ok());
+  ASSERT_TRUE(log.Append("k", RecordKind::kFull, "new").ok());
 
   StatusOr<std::vector<ChainRecord>> chain = log.ReadChain("k");
   ASSERT_TRUE(chain.ok());
@@ -113,37 +101,17 @@ TEST_F(RecordLogTest, ChainShapeIsEnforced) {
   RecordLog log(dir_, SmallOptions());
   ASSERT_TRUE(log.Open(/*create=*/true).ok());
   // Delta without a chain.
-  EXPECT_FALSE(log.Append("k", RecordKind::kDelta, "d",
-                          /*start_chain=*/false)
-                   .ok());
+  EXPECT_FALSE(log.Append("k", RecordKind::kDelta, "d").ok());
   EXPECT_FALSE(log.Contains("k"));
-  // Chain cannot start with a delta.
-  EXPECT_FALSE(log.Append("k", RecordKind::kDelta, "d",
-                          /*start_chain=*/true)
-                   .ok());
-  EXPECT_FALSE(log.Contains("k"));
-  ASSERT_TRUE(log.Append("k", RecordKind::kFull, "f",
-                         /*start_chain=*/true)
-                  .ok());
-  // Full record cannot extend a chain.
-  EXPECT_FALSE(log.Append("k", RecordKind::kFull, "f2",
-                          /*start_chain=*/false)
-                   .ok());
 }
 
 TEST_F(RecordLogTest, CommitThenReopenKeepsChains) {
   {
     RecordLog log(dir_, SmallOptions());
     ASSERT_TRUE(log.Open(/*create=*/true).ok());
-    ASSERT_TRUE(log.Append("alpha", RecordKind::kFull, "a-payload",
-                           /*start_chain=*/true)
-                    .ok());
-    ASSERT_TRUE(log.Append("alpha", RecordKind::kDelta, "a-delta",
-                           /*start_chain=*/false)
-                    .ok());
-    ASSERT_TRUE(log.Append("beta", RecordKind::kFull, "b-payload",
-                           /*start_chain=*/true)
-                    .ok());
+    ASSERT_TRUE(log.Append("alpha", RecordKind::kFull, "a-payload").ok());
+    ASSERT_TRUE(log.Append("alpha", RecordKind::kDelta, "a-delta").ok());
+    ASSERT_TRUE(log.Append("beta", RecordKind::kFull, "b-payload").ok());
     ASSERT_TRUE(log.Commit().ok());
   }
   RecordLog reopened(dir_, SmallOptions());
@@ -162,14 +130,10 @@ TEST_F(RecordLogTest, UncommittedAppendsDroppedOnReopen) {
   {
     RecordLog log(dir_, SmallOptions());
     ASSERT_TRUE(log.Open(/*create=*/true).ok());
-    ASSERT_TRUE(log.Append("durable", RecordKind::kFull, "yes",
-                           /*start_chain=*/true)
-                    .ok());
+    ASSERT_TRUE(log.Append("durable", RecordKind::kFull, "yes").ok());
     ASSERT_TRUE(log.Commit().ok());
     // Appended but never committed: must not survive the "crash".
-    ASSERT_TRUE(log.Append("lost", RecordKind::kFull, "no",
-                           /*start_chain=*/true)
-                    .ok());
+    ASSERT_TRUE(log.Append("lost", RecordKind::kFull, "no").ok());
   }
   RecordLog reopened(dir_, SmallOptions());
   ASSERT_TRUE(reopened.Open(/*create=*/false).ok());
@@ -187,9 +151,7 @@ TEST_F(RecordLogTest, TornFinalRecordIsSkippedNotFatal) {
   {
     RecordLog log(dir_, SmallOptions());
     ASSERT_TRUE(log.Open(/*create=*/true).ok());
-    ASSERT_TRUE(log.Append("k", RecordKind::kFull, "committed payload",
-                           /*start_chain=*/true)
-                    .ok());
+    ASSERT_TRUE(log.Append("k", RecordKind::kFull, "committed payload").ok());
     ASSERT_TRUE(log.Commit().ok());
   }
   const std::string shard_file = OnlyShardFile();
@@ -212,9 +174,7 @@ TEST_F(RecordLogTest, CorruptCommittedRecordIsCleanParseError) {
   RecordLog log(dir_, SmallOptions());
   ASSERT_TRUE(log.Open(/*create=*/true).ok());
   ASSERT_TRUE(log.Append("k", RecordKind::kFull,
-                         "payload long enough to flip a byte inside",
-                         /*start_chain=*/true)
-                  .ok());
+                         "payload long enough to flip a byte inside").ok());
   ASSERT_TRUE(log.Commit().ok());
 
   const std::string shard_file = OnlyShardFile();
@@ -238,9 +198,7 @@ TEST_F(RecordLogTest, AwkwardKeysSurviveTheIndex) {
   {
     RecordLog log(dir_, SmallOptions());
     ASSERT_TRUE(log.Open(/*create=*/true).ok());
-    ASSERT_TRUE(log.Append(awkward, RecordKind::kFull, "payload",
-                           /*start_chain=*/true)
-                    .ok());
+    ASSERT_TRUE(log.Append(awkward, RecordKind::kFull, "payload").ok());
     ASSERT_TRUE(log.Commit().ok());
   }
   RecordLog reopened(dir_, SmallOptions());
@@ -260,9 +218,7 @@ TEST_F(RecordLogTest, CompactionReclaimsSupersededBytes) {
   for (int round = 0; round < 8; ++round) {
     for (const char* key : {"a", "b", "c", "d"}) {
       ASSERT_TRUE(log.Append(key, RecordKind::kFull,
-                             big + key + std::to_string(round),
-                             /*start_chain=*/true)
-                      .ok());
+                             big + key + std::to_string(round)).ok());
     }
   }
   ASSERT_TRUE(log.Commit().ok());
@@ -296,9 +252,7 @@ TEST_F(RecordLogTest, CompactionSurvivesReopen) {
     for (int round = 0; round < 6; ++round) {
       for (const char* key : {"a", "b", "c", "d"}) {
         ASSERT_TRUE(log.Append(key, RecordKind::kFull,
-                               big + key + std::to_string(round),
-                               /*start_chain=*/true)
-                        .ok());
+                               big + key + std::to_string(round)).ok());
       }
     }
     ASSERT_TRUE(log.Commit().ok());
@@ -330,9 +284,7 @@ TEST_F(RecordLogTest, StaleGenerationFromCrashedCompactionIsRemoved) {
   {
     RecordLog log(dir_, SmallOptions());
     ASSERT_TRUE(log.Open(/*create=*/true).ok());
-    ASSERT_TRUE(log.Append("k", RecordKind::kFull, "payload",
-                           /*start_chain=*/true)
-                    .ok());
+    ASSERT_TRUE(log.Append("k", RecordKind::kFull, "payload").ok());
     ASSERT_TRUE(log.Commit().ok());
   }
   // Simulate a crash between writing generation 2 and committing the
@@ -355,9 +307,7 @@ TEST_F(RecordLogTest, ConcurrentReadsDuringCompaction) {
   const std::vector<std::string> keys = {"r0", "r1", "r2", "r3",
                                          "r4", "r5", "r6", "r7"};
   for (const std::string& key : keys) {
-    ASSERT_TRUE(log.Append(key, RecordKind::kFull, big + key,
-                           /*start_chain=*/true)
-                    .ok());
+    ASSERT_TRUE(log.Append(key, RecordKind::kFull, big + key).ok());
   }
   ASSERT_TRUE(log.Commit().ok());
 
@@ -381,9 +331,7 @@ TEST_F(RecordLogTest, ConcurrentReadsDuringCompaction) {
   // Writer churn + repeated compaction swaps while readers hammer.
   for (int round = 0; round < 20; ++round) {
     for (const std::string& key : keys) {
-      ASSERT_TRUE(log.Append(key, RecordKind::kFull, big + key,
-                             /*start_chain=*/true)
-                      .ok());
+      ASSERT_TRUE(log.Append(key, RecordKind::kFull, big + key).ok());
     }
     ASSERT_TRUE(log.Commit().ok());
     for (uint32_t shard : log.ShardsNeedingCompaction()) {

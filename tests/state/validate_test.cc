@@ -4,7 +4,6 @@
 
 #include "state/validate.h"
 
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -35,9 +34,9 @@ PageState MakeState() {
 }
 
 std::string SnapshotBytes(const PageState& state) {
-  std::ostringstream out;
-  EXPECT_TRUE(SavePageSnapshot(state, out).ok());
-  return out.str();
+  StatusOr<std::string> record = EncodePageRecord(state, nullptr);
+  EXPECT_TRUE(record.ok()) << record.status().ToString();
+  return record.ok() ? *record : std::string();
 }
 
 TEST(ValidateSnapshotTest, FreshSnapshotPasses) {
@@ -90,16 +89,20 @@ TEST(ValidateSnapshotTest, CatchesFingerprintMismatch) {
 }
 
 TEST(ValidateSnapshotTest, ReportsPreviousFormatVersion) {
-  // A record written by the format-v3 codec (string bags, MinHash and
+  // Records written by the format-v4 codec (separate full and delta
+  // MATCHER layouts) and the format-v3 codec (string bags, MinHash and
   // shape signatures on the wire) must be reported, not read.
-  std::string bytes = SnapshotBytes(MakeState());
-  bytes[8] = 3;  // format version, little-endian LSB
-  ValidationReport report;
-  ValidateSnapshotBytes(bytes, nullptr, &report);
-  EXPECT_FALSE(report.ok());
-  EXPECT_NE(report.ToString().find("unsupported format version 3"),
-            std::string::npos)
-      << report.ToString();
+  for (int version : {3, 4}) {
+    std::string bytes = SnapshotBytes(MakeState());
+    bytes[8] = static_cast<char>(version);  // format version, LE LSB
+    ValidationReport report;
+    ValidateSnapshotBytes(bytes, nullptr, &report);
+    EXPECT_FALSE(report.ok());
+    EXPECT_NE(report.ToString().find("unsupported format version " +
+                                     std::to_string(version)),
+              std::string::npos)
+        << report.ToString();
+  }
 }
 
 TEST(ValidateSnapshotTest, MissingFileIsReported) {

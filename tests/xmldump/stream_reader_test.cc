@@ -61,12 +61,21 @@ TEST(PageStreamReaderTest, AgreesWithInMemoryReader) {
 }
 
 TEST(PageStreamReaderTest, EmptyInput) {
+  // Not a dump: the same error the in-memory reader gives.
   std::istringstream input("");
   PageStreamReader reader(input);
   EXPECT_FALSE(reader.NextPage().has_value());
-  EXPECT_TRUE(reader.status().ok());
-  // Sticky after EOF.
+  EXPECT_EQ(reader.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(reader.status().message(), ReadDump("").status().message());
+  // Sticky after the error.
   EXPECT_FALSE(reader.NextPage().has_value());
+}
+
+TEST(PageStreamReaderTest, PagesWithoutRootAreError) {
+  std::istringstream input("<page><title>X</title></page>");
+  PageStreamReader reader(input);
+  EXPECT_FALSE(reader.NextPage().has_value());
+  EXPECT_EQ(reader.status().code(), StatusCode::kParseError);
 }
 
 TEST(PageStreamReaderTest, NoPagesIsCleanEof) {
