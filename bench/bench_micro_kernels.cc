@@ -22,6 +22,7 @@
 #include "text/flat_bag.h"
 #include "text/token_pool.h"
 #include "wikigen/content_gen.h"
+#include "wikigen/evolver.h"
 #include "wikigen/render.h"
 
 namespace {
@@ -178,6 +179,30 @@ void BM_ParseAndExtractWikitext(benchmark::State& state) {
                           static_cast<int64_t>(source.size()));
 }
 BENCHMARK(BM_ParseAndExtractWikitext);
+
+/// One 40-revision wikigen page through a WikitextHistory, as the batch
+/// and ingest drivers extract a page: each revision reuses the object
+/// elements the previous one already parsed.
+void BM_ExtractWikitextHistory(benchmark::State& state) {
+  wikigen::EvolverConfig config;
+  config.max_focal_objects = 16;
+  config.initial_focal_objects = 8;
+  config.num_revisions = 40;
+  config.seed = 9;
+  const wikigen::GeneratedPage page = wikigen::PageEvolver(config).Generate();
+  int64_t bytes = 0;
+  for (const wikigen::GeneratedRevision& rev : page.revisions) {
+    bytes += static_cast<int64_t>(rev.wikitext.size());
+  }
+  for (auto _ : state) {
+    extract::WikitextHistory history;
+    for (const wikigen::GeneratedRevision& rev : page.revisions) {
+      benchmark::DoNotOptimize(history.Next(rev.wikitext));
+    }
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * bytes);
+}
+BENCHMARK(BM_ExtractWikitextHistory);
 
 void BM_ParseAndExtractHtml(benchmark::State& state) {
   Rng rng(5);

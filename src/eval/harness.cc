@@ -55,11 +55,12 @@ std::vector<extract::PageObjects> ExtractRevisionObjects(
     const xmldump::PageHistory& page) {
   std::vector<extract::PageObjects> revisions;
   revisions.reserve(page.revisions.size());
+  extract::WikitextHistory wikitext;
   for (const xmldump::Revision& rev : page.revisions) {
     if (rev.model == "html") {
       revisions.push_back(extract::ExtractFromHtmlSource(rev.text));
     } else {
-      revisions.push_back(extract::ExtractFromWikitextSource(rev.text));
+      revisions.push_back(wikitext.Next(rev.text));
     }
   }
   return revisions;

@@ -32,8 +32,8 @@ std::unique_ptr<matching::RevisionMatcher> MakeMatcher(
     const matching::MatcherConfig& config = {});
 
 /// Extracts the per-revision object instances of one dump page. The
-/// revision text is parsed as wikitext when `revision.model` is
-/// "wikitext" and as HTML otherwise.
+/// revision text is parsed as HTML when `revision.model` is "html" and as
+/// wikitext otherwise, through one extract::WikitextHistory per call.
 std::vector<extract::PageObjects> ExtractRevisionObjects(
     const xmldump::PageHistory& page);
 

@@ -61,6 +61,8 @@ struct PageObjects {
   size_t TotalCount() const {
     return tables.size() + infoboxes.size() + lists.size();
   }
+
+  bool operator==(const PageObjects&) const = default;
 };
 
 }  // namespace somr::extract

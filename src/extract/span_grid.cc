@@ -1,13 +1,33 @@
 #include "extract/span_grid.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <string_view>
+#include <system_error>
+
+#include "common/string_util.h"
 
 namespace somr::extract {
 
 int ParseSpanValue(const std::string& value) {
-  int parsed = std::atoi(value.c_str());
-  return std::clamp(parsed, 1, 1000);
+  // atoi's syntax (leading whitespace, a sign, digits, anything after
+  // ignored), but saturating: the value comes from outside input.
+  std::string_view text = StripAsciiWhitespace(value);
+  bool negative = false;
+  if (!text.empty() && (text[0] == '+' || text[0] == '-')) {
+    negative = text[0] == '-';
+    text.remove_prefix(1);
+  }
+  unsigned parsed = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), parsed);
+  if (error == std::errc::result_out_of_range) {
+    parsed = 1000;
+  } else if (error != std::errc()) {
+    return 1;  // no digits
+  }
+  if (negative) return 1;
+  return static_cast<int>(std::clamp(parsed, 1u, 1000u));
 }
 
 ExpandedGrid ExpandSpans(const std::vector<std::vector<SpannedCell>>& rows) {

@@ -27,7 +27,7 @@ struct ExpandedGrid {
 ExpandedGrid ExpandSpans(const std::vector<std::vector<SpannedCell>>& rows);
 
 /// Parses a span attribute value ("2", "02", garbage -> 1). Values are
-/// clamped to [1, 1000] as browsers do.
+/// clamped to [1, 1000] as browsers do, however many digits they have.
 int ParseSpanValue(const std::string& value);
 
 }  // namespace somr::extract

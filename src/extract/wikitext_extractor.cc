@@ -1,9 +1,12 @@
 #include "extract/wikitext_extractor.h"
 
+#include <functional>
+#include <utility>
+
 #include "extract/span_grid.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "wikitext/inline_markup.h"
-#include "wikitext/parser.h"
 
 namespace somr::extract {
 
@@ -104,6 +107,72 @@ ObjectInstance ExtractList(const wikitext::List& list) {
   return obj;
 }
 
+/// What one element extracts to: nothing for headings, paragraphs and
+/// templates that are no infobox.
+std::optional<ObjectInstance> ExtractObject(
+    const wikitext::Element& element) {
+  if (const auto* table = std::get_if<wikitext::Table>(&element)) {
+    return ExtractTable(*table);
+  }
+  if (const auto* tmpl = std::get_if<wikitext::Template>(&element)) {
+    if (!tmpl->IsInfobox()) return std::nullopt;
+    return ExtractInfobox(*tmpl);
+  }
+  if (const auto* list = std::get_if<wikitext::List>(&element)) {
+    return ExtractList(*list);
+  }
+  return std::nullopt;
+}
+
+/// Appends `obj` to its type's bucket under the current section, ranked
+/// after the objects of its type already there.
+void Place(ObjectInstance obj, const SectionTracker& sections,
+           PageObjects& objects) {
+  obj.section_path = sections.Path();
+  std::vector<ObjectInstance>& bucket = objects.OfType(obj.type);
+  obj.position = static_cast<int>(bucket.size());
+  bucket.push_back(std::move(obj));
+}
+
+bool IsObjectBlock(wikitext::BlockKind kind) {
+  return kind == wikitext::BlockKind::kTable ||
+         kind == wikitext::BlockKind::kTemplate ||
+         kind == wikitext::BlockKind::kList;
+}
+
+/// The source bytes of `block`: from the start of its first line to the
+/// end of its last one. Equal sources mean equal lines, as SplitLines cut
+/// them, so the block parses the same.
+std::string_view BlockSource(const std::vector<std::string_view>& lines,
+                             const wikitext::Block& block) {
+  const char* begin = lines[block.begin].data();
+  const std::string_view last = lines[block.end - 1];
+  return std::string_view(
+      begin, static_cast<size_t>(last.data() + last.size() - begin));
+}
+
+struct HistoryMetrics {
+  obs::Counter* reused;
+  obs::Counter* parsed;
+};
+
+const HistoryMetrics& GetHistoryMetrics() {
+  static const HistoryMetrics metrics = [] {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+    HistoryMetrics m;
+    m.reused = reg.GetCounter(
+        "somr_extract_elements_reused_total",
+        "Wikitext object elements (tables, block templates, lists) copied "
+        "from the page's previous revision without parsing");
+    m.parsed = reg.GetCounter(
+        "somr_extract_elements_parsed_total",
+        "Wikitext object elements (tables, block templates, lists) parsed "
+        "and extracted");
+    return m;
+  }();
+  return metrics;
+}
+
 }  // namespace
 
 PageObjects ExtractFromWikitext(const wikitext::Document& doc) {
@@ -113,35 +182,110 @@ PageObjects ExtractFromWikitext(const wikitext::Document& doc) {
   for (const wikitext::Element& element : doc.elements) {
     if (const auto* heading = std::get_if<wikitext::Heading>(&element)) {
       sections.OnHeading(*heading);
-      continue;
+    } else if (std::optional<ObjectInstance> obj = ExtractObject(element)) {
+      Place(std::move(*obj), sections, objects);
     }
-    ObjectInstance obj;
-    if (const auto* table = std::get_if<wikitext::Table>(&element)) {
-      obj = ExtractTable(*table);
-    } else if (const auto* tmpl =
-                   std::get_if<wikitext::Template>(&element)) {
-      if (!tmpl->IsInfobox()) continue;
-      obj = ExtractInfobox(*tmpl);
-    } else if (const auto* list = std::get_if<wikitext::List>(&element)) {
-      obj = ExtractList(*list);
-    } else {
-      continue;
-    }
-    obj.section_path = sections.Path();
-    std::vector<ObjectInstance>& bucket = objects.OfType(obj.type);
-    obj.position = static_cast<int>(bucket.size());
-    bucket.push_back(std::move(obj));
   }
   return objects;
 }
 
 PageObjects ExtractFromWikitextSource(std::string_view source) {
-  wikitext::Document doc;
+  return WikitextHistory().Next(source);
+}
+
+std::optional<uint32_t> WikitextHistory::Revision::Find(
+    size_t hash, wikitext::BlockKind kind, std::string_view source) const {
+  auto it = by_hash.find(hash);
+  if (it == by_hash.end()) return std::nullopt;
+  const ObjectElement& element = elements[it->second];
+  if (element.kind != kind ||
+      std::string_view(text).substr(element.offset, element.size) !=
+          source) {
+    return std::nullopt;  // a hash collision: parse this one
+  }
+  return it->second;
+}
+
+PageObjects WikitextHistory::Next(std::string_view revision_text) {
+  // The last revision's elements, released when this call returns.
+  Revision previous = std::exchange(current_, Revision());
+
+  std::vector<std::string_view> lines;
+  std::vector<wikitext::Block> blocks;
+  std::vector<wikitext::Heading> headings;  // heading blocks, in order
+  std::vector<uint32_t> slots;  // object blocks' elements, in order
+  // Elements this revision had to parse, by slot, extracted below.
+  std::vector<std::pair<uint32_t, wikitext::Element>> parsed;
+  size_t reused = 0;
   {
     SOMR_TRACE_SCOPE_CAT("extract", "parse/wikitext");
-    doc = wikitext::ParseWikitext(source);
+    // The next revision looks element sources up in the history's own
+    // copy of the text.
+    const std::string_view stripped =
+        wikitext::StripComments(revision_text, current_.text);
+    if (stripped.data() != current_.text.data()) {
+      current_.text.assign(stripped);
+    }
+    const std::string_view text = current_.text;
+    lines = wikitext::SplitLines(text);
+    blocks = wikitext::SegmentBlocks(lines);
+    for (const wikitext::Block& block : blocks) {
+      if (block.kind == wikitext::BlockKind::kHeading) {
+        headings.push_back(
+            std::get<wikitext::Heading>(wikitext::ParseBlock(lines, block)));
+        continue;
+      }
+      if (!IsObjectBlock(block.kind)) continue;
+      const std::string_view source = BlockSource(lines, block);
+      const size_t hash = std::hash<std::string_view>{}(source);
+      if (std::optional<uint32_t> twin =
+              current_.Find(hash, block.kind, source)) {
+        slots.push_back(*twin);  // a copy of an element earlier on the page
+        ++reused;
+        continue;
+      }
+      const uint32_t slot = static_cast<uint32_t>(current_.elements.size());
+      current_.elements.push_back(
+          {static_cast<size_t>(source.data() - text.data()), source.size(),
+           block.kind, std::nullopt});
+      current_.by_hash.emplace(hash, slot);
+      slots.push_back(slot);
+      if (std::optional<uint32_t> kept =
+              previous.Find(hash, block.kind, source)) {
+        current_.elements[slot].object =
+            std::move(previous.elements[*kept].object);
+        // Moved out, so it must not be found again.
+        previous.by_hash.erase(hash);
+        ++reused;
+      } else {
+        parsed.emplace_back(slot, wikitext::ParseBlock(lines, block));
+      }
+    }
   }
-  return ExtractFromWikitext(doc);
+
+  SOMR_TRACE_SCOPE_CAT("extract", "extract/wikitext");
+  for (const auto& [slot, element] : parsed) {
+    current_.elements[slot].object = ExtractObject(element);
+  }
+  PageObjects objects;
+  SectionTracker sections;
+  size_t next_heading = 0;
+  size_t next_slot = 0;
+  for (const wikitext::Block& block : blocks) {
+    if (block.kind == wikitext::BlockKind::kHeading) {
+      sections.OnHeading(headings[next_heading++]);
+      continue;
+    }
+    if (!IsObjectBlock(block.kind)) continue;
+    const std::optional<ObjectInstance>& object =
+        current_.elements[slots[next_slot++]].object;
+    // Copied: the next revision may reuse it.
+    if (object) Place(*object, sections, objects);
+  }
+  const HistoryMetrics& metrics = GetHistoryMetrics();
+  metrics.reused->Increment(reused);
+  metrics.parsed->Increment(parsed.size());
+  return objects;
 }
 
 }  // namespace somr::extract

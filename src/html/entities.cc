@@ -1,5 +1,6 @@
 #include "html/entities.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 
@@ -71,13 +72,17 @@ std::string DecodeEntities(std::string_view s) {
   size_t i = 0;
   while (i < s.size()) {
     if (s[i] != '&') {
-      out.push_back(s[i]);
-      ++i;
+      // Copy the run up to the next reference in one append.
+      const size_t amp = std::min(s.find('&', i), s.size());
+      out.append(s.substr(i, amp - i));
+      i = amp;
       continue;
     }
-    size_t semi = s.find(';', i + 1);
-    // Limit reference length; an unterminated '&' is literal text.
-    if (semi == std::string_view::npos || semi - i > 10) {
+    // Limit reference length (so the search for ';' stays local); an
+    // unterminated '&' is literal text.
+    size_t semi = s.substr(i + 1, 10).find(';');
+    if (semi != std::string_view::npos) semi += i + 1;
+    if (semi == std::string_view::npos) {
       out.push_back('&');
       ++i;
       continue;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -142,12 +143,23 @@ class TemporalMatcher : public RevisionMatcher {
   friend class somr::state::MatcherSerde;
 
   struct Tracked {
+    Tracked() = default;
+    Tracked(const Tracked&) = default;
+    Tracked& operator=(const Tracked&) = default;
+    // libstdc++'s deque move constructor allocates, so it is not noexcept
+    // and a growing std::vector<Tracked> would copy every window instead
+    // of moving it. Should that allocation fail, the move terminates.
+    Tracked(Tracked&&) noexcept = default;
+    Tracked& operator=(Tracked&&) noexcept = default;
+
     int64_t id = 0;
     std::deque<FlatBag> recent_flat;  // rear-view window: oldest..newest
     int last_position = 0;
     int first_revision = 0;
     int last_revision = 0;
   };
+  static_assert(std::is_nothrow_move_constructible_v<Tracked>,
+                "tracked_ must move, not copy, its windows when it grows");
 
   /// One matching stage's parameters, shared between the stage loop and
   /// the candidate enumerator.

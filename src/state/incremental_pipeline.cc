@@ -18,13 +18,6 @@ namespace somr::state {
 
 namespace {
 
-extract::PageObjects ExtractOne(const xmldump::Revision& rev) {
-  if (rev.model == "html") {
-    return extract::ExtractFromHtmlSource(rev.text);
-  }
-  return extract::ExtractFromWikitextSource(rev.text);
-}
-
 struct IngestMetrics {
   obs::Counter* pages;
   obs::Counter* pages_skipped;
@@ -94,6 +87,8 @@ IngestReport ApplyPageToState(PageState& state,
 
   IngestReport report;
   report.pages = 1;
+  // Starts empty: skipped revisions are never parsed.
+  extract::WikitextHistory wikitext;
   size_t ordinal = 0;
   for (const xmldump::Revision& rev : page.revisions) {
     const bool seen = rev.id > 0
@@ -104,7 +99,9 @@ IngestReport ApplyPageToState(PageState& state,
       ++report.skipped_revisions;
       continue;
     }
-    extract::PageObjects objects = ExtractOne(rev);
+    extract::PageObjects objects =
+        rev.model == "html" ? extract::ExtractFromHtmlSource(rev.text)
+                            : wikitext.Next(rev.text);
     state.matcher.ProcessRevision(
         static_cast<int>(state.revisions_ingested), objects);
     state.revisions.push_back(std::move(objects));

@@ -1,6 +1,7 @@
 #include "wikitext/parser.h"
 
 #include <cstddef>
+#include <cstdlib>
 
 #include "common/string_util.h"
 
@@ -130,240 +131,216 @@ void ParseCellLine(std::string_view line, bool header, TableRow& row) {
   }
 }
 
-class Parser {
- public:
-  explicit Parser(std::string_view input) {
-    for (std::string_view line : SplitString(input, '\n')) {
-      // Tolerate \r\n dumps.
-      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-      lines_.push_back(line);
+constexpr size_t kNoLine = static_cast<size_t>(-1);
+
+/// The title of a `== Title ==` line (already trimmed), with its level in
+/// `level`; an empty title when the line is no heading.
+std::string_view HeadingTitle(std::string_view trimmed, int& level) {
+  if (trimmed.size() < 5 || trimmed[0] != '=') return {};
+  size_t n = 0;
+  while (n < trimmed.size() && trimmed[n] == '=') ++n;
+  if (n < 2 || n > 6) return {};
+  size_t end = trimmed.size();
+  size_t tail = 0;
+  while (end > 0 && trimmed[end - 1] == '=') {
+    --end;
+    ++tail;
+  }
+  if (tail != n || end <= n) return {};
+  level = static_cast<int>(n);
+  return StripAsciiWhitespace(trimmed.substr(n, end - n));
+}
+
+/// One past the closing `|}` line of the table opening at `begin` (nested
+/// tables skipped), or the end of the page when it is never closed.
+size_t TableEnd(const std::vector<std::string_view>& lines, size_t begin) {
+  int nested_depth = 0;
+  for (size_t pos = begin + 1; pos < lines.size(); ++pos) {
+    std::string_view line = StripAsciiWhitespace(lines[pos]);
+    if (nested_depth > 0) {
+      if (line.substr(0, 2) == "{|") nested_depth++;
+      if (line == "|}") nested_depth--;
+    } else if (line.substr(0, 2) == "{|") {
+      nested_depth = 1;
+    } else if (line == "|}") {
+      return pos + 1;
     }
   }
+  return lines.size();
+}
 
-  Document Run() {
-    Document doc;
-    std::string paragraph;
-    auto flush_paragraph = [&]() {
-      std::string_view trimmed = StripAsciiWhitespace(paragraph);
-      if (!trimmed.empty()) {
-        doc.elements.push_back(Paragraph{std::string(trimmed)});
+/// One past the line where the `{{ }}` braces opened at line `begin`
+/// balance, or kNoLine when they never do on this page.
+size_t TemplateEnd(const std::vector<std::string_view>& lines,
+                   size_t begin) {
+  int depth = 0;
+  for (size_t pos = begin; pos < lines.size(); ++pos) {
+    std::string_view line = lines[pos];
+    for (size_t i = 0; i + 1 < line.size(); ++i) {
+      if (line[i] == '{' && line[i + 1] == '{') {
+        depth++;
+        ++i;
+      } else if (line[i] == '}' && line[i + 1] == '}') {
+        depth--;
+        ++i;
       }
-      paragraph.clear();
-    };
-
-    while (pos_ < lines_.size()) {
-      std::string_view line = lines_[pos_];
-      std::string_view trimmed = StripAsciiWhitespace(line);
-
-      if (trimmed.empty()) {
-        flush_paragraph();
-        ++pos_;
-        continue;
-      }
-      if (Heading h; TryParseHeading(trimmed, h)) {
-        flush_paragraph();
-        doc.elements.push_back(std::move(h));
-        ++pos_;
-        continue;
-      }
-      if (trimmed.substr(0, 2) == "{|") {
-        flush_paragraph();
-        doc.elements.push_back(ParseTable());
-        continue;
-      }
-      if (trimmed.substr(0, 2) == "{{") {
-        // Block template only when braces balance within the page.
-        std::string combined = GatherTemplate();
-        if (!combined.empty()) {
-          flush_paragraph();
-          doc.elements.push_back(ParseTemplateSource(combined));
-          continue;
-        }
-        // Unbalanced: fall through to paragraph.
-      }
-      if (IsListMarker(trimmed[0])) {
-        flush_paragraph();
-        doc.elements.push_back(ParseList());
-        continue;
-      }
-      if (!paragraph.empty()) paragraph.push_back('\n');
-      paragraph.append(line);
-      ++pos_;
     }
-    flush_paragraph();
-    return doc;
+    if (depth <= 0) return pos + 1;
   }
+  return kNoLine;
+}
 
- private:
-  static bool TryParseHeading(std::string_view trimmed, Heading& out) {
-    if (trimmed.size() < 5 || trimmed[0] != '=') return false;
-    size_t level = 0;
-    while (level < trimmed.size() && trimmed[level] == '=') ++level;
-    if (level < 2 || level > 6) return false;
-    size_t end = trimmed.size();
-    size_t tail = 0;
-    while (end > 0 && trimmed[end - 1] == '=') {
-      --end;
-      ++tail;
+/// One past the last line of the run of list-item lines at `begin`.
+size_t ListEnd(const std::vector<std::string_view>& lines, size_t begin) {
+  size_t pos = begin;
+  while (pos < lines.size()) {
+    std::string_view line = StripAsciiWhitespace(lines[pos]);
+    if (line.empty() || !IsListMarker(line[0])) break;
+    ++pos;
+  }
+  return pos;
+}
+
+/// The block that starts at non-blank line `pos` (`trimmed` is that line
+/// without surrounding whitespace); a one-line kParagraph block when the
+/// line is paragraph text.
+Block BlockAt(const std::vector<std::string_view>& lines, size_t pos,
+              std::string_view trimmed) {
+  int level = 0;
+  if (!HeadingTitle(trimmed, level).empty()) {
+    return {BlockKind::kHeading, pos, pos + 1};
+  }
+  if (trimmed.substr(0, 2) == "{|") {
+    return {BlockKind::kTable, pos, TableEnd(lines, pos)};
+  }
+  if (trimmed.substr(0, 2) == "{{") {
+    // A block template only when its braces balance within the page; an
+    // unbalanced `{{` line is paragraph text.
+    const size_t end = TemplateEnd(lines, pos);
+    if (end == kNoLine) return {BlockKind::kParagraph, pos, pos + 1};
+    return {BlockKind::kTemplate, pos, end};
+  }
+  if (IsListMarker(trimmed[0])) {
+    return {BlockKind::kList, pos, ListEnd(lines, pos)};
+  }
+  return {BlockKind::kParagraph, pos, pos + 1};
+}
+
+/// Lines [begin, end) joined with '\n'.
+std::string JoinLines(const std::vector<std::string_view>& lines,
+                      size_t begin, size_t end) {
+  std::string joined;
+  for (size_t pos = begin; pos < end; ++pos) {
+    if (pos > begin) joined.push_back('\n');
+    joined.append(lines[pos]);
+  }
+  return joined;
+}
+
+Table ParseTable(const std::vector<std::string_view>& lines, size_t begin,
+                 size_t end) {
+  Table table;
+  std::string_view first = StripAsciiWhitespace(lines[begin]);
+  table.attrs = std::string(StripAsciiWhitespace(first.substr(2)));
+  bool have_row = false;
+  int nested_depth = 0;
+  std::string nested_src;
+
+  auto current_row = [&]() -> TableRow& {
+    if (!have_row) {
+      table.rows.emplace_back();
+      have_row = true;
     }
-    if (tail != level || end <= level) return false;
-    std::string_view title =
-        StripAsciiWhitespace(trimmed.substr(level, end - level));
-    if (title.empty()) return false;
-    out.level = static_cast<int>(level);
-    out.title = std::string(title);
-    return true;
-  }
+    return table.rows.back();
+  };
 
-  /// Gathers lines from pos_ until `{{ }}` braces balance; returns the
-  /// combined source and advances pos_, or returns "" and leaves pos_
-  /// unchanged when unbalanced.
-  std::string GatherTemplate() {
-    std::string combined;
-    int depth = 0;
-    size_t end = pos_;
-    for (; end < lines_.size(); ++end) {
-      std::string_view line = lines_[end];
-      if (!combined.empty()) combined.push_back('\n');
-      combined.append(line);
-      for (size_t i = 0; i + 1 < line.size(); ++i) {
-        if (line[i] == '{' && line[i + 1] == '{') {
-          depth++;
-          ++i;
-        } else if (line[i] == '}' && line[i + 1] == '}') {
-          depth--;
-          ++i;
-        }
-      }
-      if (depth <= 0) break;
-    }
-    if (depth > 0 || end == lines_.size()) return "";
-    pos_ = end + 1;
-    return combined;
-  }
+  for (size_t pos = begin + 1; pos < end; ++pos) {
+    std::string_view raw = lines[pos];
+    std::string_view line = StripAsciiWhitespace(raw);
 
-  Table ParseTable() {
-    Table table;
-    std::string_view first = StripAsciiWhitespace(lines_[pos_]);
-    table.attrs = std::string(StripAsciiWhitespace(first.substr(2)));
-    ++pos_;
-    bool have_row = false;
-    int nested_depth = 0;
-    std::string nested_src;
-
-    auto current_row = [&]() -> TableRow& {
-      if (!have_row) {
-        table.rows.emplace_back();
-        have_row = true;
-      }
-      return table.rows.back();
-    };
-
-    while (pos_ < lines_.size()) {
-      std::string_view raw = lines_[pos_];
-      std::string_view line = StripAsciiWhitespace(raw);
-
-      if (nested_depth > 0) {
-        // Inside a nested table: accumulate raw source into the last cell.
-        nested_src.append(raw);
-        nested_src.push_back('\n');
-        if (line.substr(0, 2) == "{|") nested_depth++;
-        if (line == "|}" ) {
-          nested_depth--;
-          if (nested_depth == 0) {
-            TableRow& row = current_row();
-            if (row.cells.empty()) row.cells.emplace_back();
-            row.cells.back().content.append("\n").append(nested_src);
-            nested_src.clear();
-          }
-        }
-        ++pos_;
-        continue;
-      }
-
-      if (line.empty()) {
-        // Blank lines inside a table are layout noise.
-        ++pos_;
-        continue;
-      }
-      if (line.substr(0, 2) == "{|") {
-        nested_depth = 1;
-        nested_src.assign(raw);
-        nested_src.push_back('\n');
-        ++pos_;
-        continue;
-      }
+    if (nested_depth > 0) {
+      // Inside a nested table: accumulate raw source into the last cell.
+      nested_src.append(raw);
+      nested_src.push_back('\n');
+      if (line.substr(0, 2) == "{|") nested_depth++;
       if (line == "|}") {
-        ++pos_;
-        break;
-      }
-      if (line.substr(0, 2) == "|+") {
-        // `|+ attrs | Caption` carries attributes before a single pipe.
-        std::string_view caption = StripAsciiWhitespace(line.substr(2));
-        size_t pipe = caption.find('|');
-        if (pipe != std::string_view::npos &&
-            caption.substr(0, pipe).find('=') != std::string_view::npos &&
-            caption.substr(0, pipe).find("[[") == std::string_view::npos) {
-          caption = StripAsciiWhitespace(caption.substr(pipe + 1));
+        nested_depth--;
+        if (nested_depth == 0) {
+          TableRow& row = current_row();
+          if (row.cells.empty()) row.cells.emplace_back();
+          row.cells.back().content.append("\n").append(nested_src);
+          nested_src.clear();
         }
-        table.caption = std::string(caption);
-        ++pos_;
-        continue;
       }
-      if (line.substr(0, 2) == "|-") {
-        table.rows.emplace_back();
-        table.rows.back().attrs =
-            std::string(StripAsciiWhitespace(line.substr(2)));
-        have_row = true;
-        ++pos_;
-        continue;
-      }
-      if (!line.empty() && line[0] == '!') {
-        ParseCellLine(line, /*header=*/true, current_row());
-        ++pos_;
-        continue;
-      }
-      if (!line.empty() && line[0] == '|') {
-        ParseCellLine(line, /*header=*/false, current_row());
-        ++pos_;
-        continue;
-      }
-      // Continuation of the previous cell's content.
-      if (have_row && !table.rows.back().cells.empty()) {
-        TableCell& cell = table.rows.back().cells.back();
-        if (!cell.content.empty()) cell.content.push_back(' ');
-        cell.content.append(line);
-      }
-      ++pos_;
+      continue;
     }
-    // Drop a leading empty row created by cells before any |- marker when
-    // the table begins directly with |-.
-    while (!table.rows.empty() && table.rows.front().cells.empty() &&
-           table.rows.size() > 1) {
-      table.rows.erase(table.rows.begin());
-    }
-    return table;
-  }
 
-  List ParseList() {
-    List list;
-    while (pos_ < lines_.size()) {
-      std::string_view line = StripAsciiWhitespace(lines_[pos_]);
-      if (line.empty() || !IsListMarker(line[0])) break;
-      ListItem item;
-      size_t level = 0;
-      while (level < line.size() && IsListMarker(line[level])) ++level;
-      item.markers = std::string(line.substr(0, level));
-      item.content = std::string(StripAsciiWhitespace(line.substr(level)));
-      list.items.push_back(std::move(item));
-      ++pos_;
+    // Blank lines inside a table are layout noise.
+    if (line.empty()) continue;
+    if (line.substr(0, 2) == "{|") {
+      nested_depth = 1;
+      nested_src.assign(raw);
+      nested_src.push_back('\n');
+      continue;
     }
-    return list;
+    if (line == "|}") break;
+    if (line.substr(0, 2) == "|+") {
+      // `|+ attrs | Caption` carries attributes before a single pipe.
+      std::string_view caption = StripAsciiWhitespace(line.substr(2));
+      size_t pipe = caption.find('|');
+      if (pipe != std::string_view::npos &&
+          caption.substr(0, pipe).find('=') != std::string_view::npos &&
+          caption.substr(0, pipe).find("[[") == std::string_view::npos) {
+        caption = StripAsciiWhitespace(caption.substr(pipe + 1));
+      }
+      table.caption = std::string(caption);
+      continue;
+    }
+    if (line.substr(0, 2) == "|-") {
+      table.rows.emplace_back();
+      table.rows.back().attrs =
+          std::string(StripAsciiWhitespace(line.substr(2)));
+      have_row = true;
+      continue;
+    }
+    if (line[0] == '!') {
+      ParseCellLine(line, /*header=*/true, current_row());
+      continue;
+    }
+    if (line[0] == '|') {
+      ParseCellLine(line, /*header=*/false, current_row());
+      continue;
+    }
+    // Continuation of the previous cell's content.
+    if (have_row && !table.rows.back().cells.empty()) {
+      TableCell& cell = table.rows.back().cells.back();
+      if (!cell.content.empty()) cell.content.push_back(' ');
+      cell.content.append(line);
+    }
   }
+  // Drop a leading empty row created by cells before any |- marker when
+  // the table begins directly with |-.
+  while (!table.rows.empty() && table.rows.front().cells.empty() &&
+         table.rows.size() > 1) {
+    table.rows.erase(table.rows.begin());
+  }
+  return table;
+}
 
-  std::vector<std::string_view> lines_;
-  size_t pos_ = 0;
-};
+List ParseList(const std::vector<std::string_view>& lines, size_t begin,
+               size_t end) {
+  List list;
+  for (size_t pos = begin; pos < end; ++pos) {
+    std::string_view line = StripAsciiWhitespace(lines[pos]);
+    ListItem item;
+    size_t level = 0;
+    while (level < line.size() && IsListMarker(line[level])) ++level;
+    item.markers = std::string(line.substr(0, level));
+    item.content = std::string(StripAsciiWhitespace(line.substr(level)));
+    list.items.push_back(std::move(item));
+  }
+  return list;
+}
 
 }  // namespace
 
@@ -417,29 +394,96 @@ const std::string& Template::Param(const std::string& key) const {
   return kEmpty;
 }
 
-Document ParseWikitext(std::string_view input) {
-  // MediaWiki strips HTML comments before any other parsing; they can
-  // span lines and may hide table or list markup.
-  if (input.find("<!--") != std::string_view::npos) {
-    std::string stripped;
-    stripped.reserve(input.size());
-    size_t pos = 0;
-    while (pos < input.size()) {
-      size_t open = input.find("<!--", pos);
-      if (open == std::string_view::npos) {
-        stripped.append(input.substr(pos));
-        break;
-      }
-      stripped.append(input.substr(pos, open - pos));
-      size_t close = input.find("-->", open + 4);
-      if (close == std::string_view::npos) break;  // unterminated: drop
-      pos = close + 3;
+std::string_view StripComments(std::string_view input,
+                               std::string& storage) {
+  if (input.find("<!--") == std::string_view::npos) return input;
+  storage.clear();
+  storage.reserve(input.size());
+  size_t pos = 0;
+  while (pos < input.size()) {
+    size_t open = input.find("<!--", pos);
+    if (open == std::string_view::npos) {
+      storage.append(input.substr(pos));
+      break;
     }
-    Parser parser(stripped);
-    return parser.Run();
+    storage.append(input.substr(pos, open - pos));
+    size_t close = input.find("-->", open + 4);
+    if (close == std::string_view::npos) break;  // unterminated: drop
+    pos = close + 3;
   }
-  Parser parser(input);
-  return parser.Run();
+  return storage;
+}
+
+std::vector<std::string_view> SplitLines(std::string_view text) {
+  std::vector<std::string_view> lines = SplitString(text, '\n');
+  for (std::string_view& line : lines) {
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  }
+  return lines;
+}
+
+std::vector<Block> SegmentBlocks(const std::vector<std::string_view>& lines) {
+  std::vector<Block> blocks;
+  // First line of the paragraph being gathered, or kNoLine.
+  size_t paragraph = kNoLine;
+  auto close_paragraph = [&](size_t end) {
+    if (paragraph != kNoLine) {
+      blocks.push_back({BlockKind::kParagraph, paragraph, end});
+    }
+    paragraph = kNoLine;
+  };
+  size_t pos = 0;
+  while (pos < lines.size()) {
+    std::string_view trimmed = StripAsciiWhitespace(lines[pos]);
+    if (trimmed.empty()) {
+      close_paragraph(pos);
+      ++pos;
+      continue;
+    }
+    const Block block = BlockAt(lines, pos, trimmed);
+    if (block.kind == BlockKind::kParagraph) {
+      if (paragraph == kNoLine) paragraph = pos;
+    } else {
+      close_paragraph(pos);
+      blocks.push_back(block);
+    }
+    pos = block.end;
+  }
+  close_paragraph(pos);
+  return blocks;
+}
+
+Element ParseBlock(const std::vector<std::string_view>& lines,
+                   const Block& block) {
+  switch (block.kind) {
+    case BlockKind::kHeading: {
+      Heading heading;
+      heading.title = std::string(HeadingTitle(
+          StripAsciiWhitespace(lines[block.begin]), heading.level));
+      return heading;
+    }
+    case BlockKind::kParagraph:
+      return Paragraph{std::string(StripAsciiWhitespace(
+          JoinLines(lines, block.begin, block.end)))};
+    case BlockKind::kTable:
+      return ParseTable(lines, block.begin, block.end);
+    case BlockKind::kTemplate:
+      return ParseTemplateSource(JoinLines(lines, block.begin, block.end));
+    case BlockKind::kList:
+      return ParseList(lines, block.begin, block.end);
+  }
+  std::abort();  // unreachable: all BlockKind values handled above
+}
+
+Document ParseWikitext(std::string_view input) {
+  std::string storage;
+  const std::vector<std::string_view> lines =
+      SplitLines(StripComments(input, storage));
+  Document doc;
+  for (const Block& block : SegmentBlocks(lines)) {
+    doc.elements.push_back(ParseBlock(lines, block));
+  }
+  return doc;
 }
 
 }  // namespace somr::wikitext

@@ -20,6 +20,14 @@ TEST(ParseSpanValueTest, Basics) {
   EXPECT_EQ(ParseSpanValue("99999"), 1000);
 }
 
+TEST(ParseSpanValueTest, SaturatesPastIntRange) {
+  EXPECT_EQ(ParseSpanValue("2147483648"), 1000);
+  EXPECT_EQ(ParseSpanValue("4294967297"), 1000);
+  EXPECT_EQ(ParseSpanValue("99999999999"), 1000);
+  EXPECT_EQ(ParseSpanValue("-99999999999"), 1);
+  EXPECT_EQ(ParseSpanValue(" 3px"), 3);
+}
+
 TEST(ExpandSpansTest, NoSpansPassThrough) {
   ExpandedGrid grid = ExpandSpans({{Cell("a"), Cell("b")}, {Cell("c")}});
   ASSERT_EQ(grid.rows.size(), 2u);

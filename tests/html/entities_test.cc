@@ -2,8 +2,46 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/rng.h"
+
 namespace somr::html {
 namespace {
+
+/// DecodeEntities as it was when it copied text one byte at a time: the
+/// reference for the bulk-copying loop. A lone candidate "&body;" (no
+/// other '&' in it) is decoded by DecodeEntities itself, which leaves it
+/// unchanged exactly when it is not a known reference.
+std::string ByteLoopReference(std::string_view s) {
+  std::string out;
+  size_t i = 0;
+  while (i < s.size()) {
+    if (s[i] != '&') {
+      out.push_back(s[i]);
+      ++i;
+      continue;
+    }
+    size_t semi = s.find(';', i + 1);
+    if (semi == std::string_view::npos || semi - i > 10) {
+      out.push_back('&');
+      ++i;
+      continue;
+    }
+    const std::string_view reference = s.substr(i, semi - i + 1);
+    if (reference.find('&', 1) == std::string_view::npos) {
+      const std::string decoded = DecodeEntities(reference);
+      if (decoded != reference) {
+        out.append(decoded);
+        i = semi + 1;
+        continue;
+      }
+    }
+    out.push_back('&');
+    ++i;
+  }
+  return out;
+}
 
 TEST(DecodeEntitiesTest, NamedEntities) {
   EXPECT_EQ(DecodeEntities("a &amp; b"), "a & b");
@@ -49,6 +87,27 @@ TEST(DecodeEntitiesTest, ExtendedNamedEntities) {
   EXPECT_EQ(DecodeEntities("5&euro;"), "5\xE2\x82\xAC");
   EXPECT_EQ(DecodeEntities("&plusmn;2"), "\xC2\xB1" "2");
   EXPECT_EQ(DecodeEntities("&rsquo;"), "\xE2\x80\x99");
+}
+
+TEST(DecodeEntitiesTest, MatchesByteLoopOnRandomStrings) {
+  static constexpr std::string_view kPieces[] = {
+      "&", ";", "#", "x", "X", "amp", "lt", "nbsp", "eacute", "bogus",
+      "65", "x41", "xD800", "1114112", "&amp;", "&#65;", "&#x20AC;",
+      "&verylongname;", "&;", "a", " ", "\xC3\xA9", "\n"};
+  Rng rng(2026);
+  for (int trial = 0; trial < 200000; ++trial) {
+    std::string input;
+    const int pieces = static_cast<int>(rng.UniformInt(0, 12));
+    for (int p = 0; p < pieces; ++p) {
+      if (rng.Bernoulli(0.1)) {
+        input.push_back(static_cast<char>(rng.UniformInt(1, 255)));
+      } else {
+        input.append(kPieces[rng.Index(std::size(kPieces))]);
+      }
+    }
+    ASSERT_EQ(DecodeEntities(input), ByteLoopReference(input))
+        << "input: " << input;
+  }
 }
 
 TEST(EscapeEntitiesTest, EscapesAll5) {

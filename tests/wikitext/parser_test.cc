@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <tuple>
+#include <vector>
+
 namespace somr::wikitext {
 namespace {
 
@@ -200,6 +204,37 @@ TEST(WikitextParserTest, CaptionWithAttributes) {
       "{|\n|+ style=\"bold\" | Real Caption\n|-\n| x\n|}\n");
   const Table& table = std::get<Table>(doc.elements[0]);
   EXPECT_EQ(table.caption, "Real Caption");
+}
+
+TEST(SegmentBlocksTest, LineRangesOfEveryBlock) {
+  const std::vector<std::string_view> lines = SplitLines(
+      "== H ==\ntext\nmore\n\n{|\n| a\n{|\n| b\n|}\n|}\n"
+      "{{X|y=1\n}}\n{{open\n* i\n* j\n");
+  const std::vector<Block> blocks = SegmentBlocks(lines);
+  const std::vector<std::tuple<BlockKind, size_t, size_t>> want = {
+      {BlockKind::kHeading, 0, 1},  {BlockKind::kParagraph, 1, 3},
+      {BlockKind::kTable, 4, 10},   {BlockKind::kTemplate, 10, 12},
+      {BlockKind::kParagraph, 12, 13},  // `{{open` never balances
+      {BlockKind::kList, 13, 15}};
+  ASSERT_EQ(blocks.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(std::make_tuple(blocks[i].kind, blocks[i].begin, blocks[i].end),
+              want[i])
+        << "block " << i;
+  }
+}
+
+TEST(SegmentBlocksTest, BlockParsesFromItsOwnLinesAlone) {
+  const std::vector<std::string_view> lines =
+      SplitLines("intro\n{|\n! A\n|-\n| 1\n|}\n* x\n");
+  const std::vector<Block> blocks = SegmentBlocks(lines);
+  ASSERT_EQ(blocks.size(), 3u);
+  for (const Block& block : blocks) {
+    const std::vector<std::string_view> own(lines.begin() + block.begin,
+                                            lines.begin() + block.end);
+    EXPECT_EQ(ParseBlock(lines, block),
+              ParseBlock(own, {block.kind, 0, own.size()}));
+  }
 }
 
 TEST(ParseTemplateSourceTest, Direct) {

@@ -14,6 +14,7 @@
 // skipped) — an end-to-end resumability demo with no input files.
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -296,9 +297,19 @@ int main(int argc, char** argv) {
                             store_options);
 
   if (command == "init") {
+    // A failed init that saved no page (unreadable input, not a dump)
+    // must not leave an empty store behind that later commands would take
+    // for one. Pages that did save stay: `append` resumes after them.
+    const std::filesystem::path dir = flags.GetString("state-dir");
+    std::error_code ec;
+    const bool created = !std::filesystem::exists(dir, ec) && !ec;
     Status status = store.Open(/*create=*/true);
-    if (!status.ok()) return Fail(status);
-    return RunIngest(store, flags, /*init=*/true);
+    const int code =
+        status.ok() ? RunIngest(store, flags, /*init=*/true) : Fail(status);
+    if (code != 0 && created && store.Pages().empty()) {
+      std::filesystem::remove_all(dir, ec);
+    }
+    return code;
   }
   Status status = store.Open(/*create=*/false);
   if (!status.ok()) return Fail(status);
