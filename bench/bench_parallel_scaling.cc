@@ -95,7 +95,7 @@ ScalingReport RunSweep() {
     parallel::Executor pool(threads);
     pipeline.set_executor(&pool);
     report.per_page_seconds.push_back(MeasureSeconds([&] {
-      auto results = pipeline.ProcessDumpXmlParallel(xml, threads);
+      auto results = pipeline.ProcessDumpXml(xml, threads);
       if (results.ok()) report.pages = results->size();
     }));
   }

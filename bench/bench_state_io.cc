@@ -62,7 +62,7 @@ xmldump::PageHistory SamplePage() {
   return wikigen::CorpusToDump(wikigen::GenerateGoldCorpus(config)).pages[0];
 }
 
-void ApplyRevision(state::PageState& state, const xmldump::Revision& rev) {
+void ApplyRevision(core::PageState& state, const xmldump::Revision& rev) {
   extract::PageObjects objects = extract::ExtractFromWikitextSource(rev.text);
   state.matcher.ProcessRevision(static_cast<int>(state.revisions_ingested),
                                 objects);
@@ -77,9 +77,9 @@ void ApplyRevision(state::PageState& state, const xmldump::Revision& rev) {
 // the page from scratch reproduces exactly the state a resident context
 // would hold — the dirty template (one revision further) is a true
 // descendant of the base template.
-state::PageState BuildTemplate(const xmldump::PageHistory& page,
+core::PageState BuildTemplate(const xmldump::PageHistory& page,
                                size_t revisions) {
-  state::PageState state;
+  core::PageState state;
   state.page_id = page.page_id;
   for (size_t r = 0; r < revisions && r < page.revisions.size(); ++r) {
     ApplyRevision(state, page.revisions[r]);
@@ -103,7 +103,7 @@ struct ModeResult {
   uint32_t delta_depth = 0;
 };
 
-Status RunMode(state::PageState& base, state::PageState& dirty,
+Status RunMode(core::PageState& base, core::PageState& dirty,
                size_t contexts, size_t dirty_count, uint32_t cadence,
                ModeResult* out) {
   char dir_template[] = "/tmp/somr-bench-state-XXXXXX";
@@ -154,7 +154,7 @@ Status RunMode(state::PageState& base, state::PageState& dirty,
   const size_t probes = std::min(dirty_count, kFaultProbes);
   auto start = std::chrono::steady_clock::now();
   for (size_t i = 0; i < probes; ++i) {
-    StatusOr<state::PageState> loaded = reopened.Load(TitleOf(i));
+    StatusOr<core::PageState> loaded = reopened.Load(TitleOf(i));
     SOMR_RETURN_IF_ERROR(loaded.status());
   }
   out->fault_us =
@@ -322,8 +322,8 @@ int main(int argc, char** argv) {
   if (dirty > contexts) dirty = contexts;
 
   xmldump::PageHistory page = SamplePage();
-  state::PageState base = BuildTemplate(page, kBaseRevisions);
-  state::PageState next = BuildTemplate(page, kBaseRevisions + 1);
+  core::PageState base = BuildTemplate(page, kBaseRevisions);
+  core::PageState next = BuildTemplate(page, kBaseRevisions + 1);
 
   ModeResult full, delta;
   Status status =

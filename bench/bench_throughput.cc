@@ -37,7 +37,7 @@ int main() {
   unsigned hw = std::max(2u, std::thread::hardware_concurrency());
   for (unsigned threads : {1u, 2u, hw}) {
     Timer timer;
-    auto results = pipeline.ProcessDumpXmlParallel(xml, threads);
+    auto results = pipeline.ProcessDumpXml(xml, threads);
     double seconds = timer.ElapsedSeconds();
     if (!results.ok()) {
       std::printf("pipeline failed: %s\n",

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/dump_driver.h"
 #include "extract/object.h"
 #include "matching/matcher.h"
 #include "obs/provenance.h"
@@ -37,55 +38,48 @@ class Pipeline {
   Pipeline() = default;
   explicit Pipeline(matching::MatcherConfig config) : config_(config) {}
 
-  /// Processes a full dump: every page independently.
-  StatusOr<std::vector<PageResult>> ProcessDumpXml(std::string_view xml) const;
-
-  /// Like ProcessDumpXml but fans the pages out over a work-stealing
-  /// pool (pages are independent). Results keep dump order and are
-  /// bit-identical to the sequential ones. Uses the executor attached
-  /// via set_executor when one is present (num_threads then only gates
-  /// the sequential fallback); otherwise spins up a local pool of
-  /// `num_threads` workers. `num_threads <= 1` without an attached
-  /// executor falls back to sequential processing.
-  StatusOr<std::vector<PageResult>> ProcessDumpXmlParallel(
-      std::string_view xml, unsigned num_threads) const;
+  /// Processes a full dump read into memory with xmldump::ReadDump, which
+  /// also accepts a dump truncated mid-page. The pages go through the dump
+  /// driver (core/dump_driver.h): on the executor attached via
+  /// set_executor when there is one, else on a local pool of
+  /// `num_threads` workers when that is > 1, else one after another on
+  /// the calling thread. Results keep dump order and are bit-identical at
+  /// any thread count.
+  StatusOr<std::vector<PageResult>> ProcessDumpXml(
+      std::string_view xml, unsigned num_threads = 1) const;
 
   /// Streaming variant: reads `<page>` blocks from `input` one at a time
-  /// (via xmldump::PageStreamReader) so the full dump XML is never
-  /// materialized — the reader hands pages to pool workers through a
-  /// bounded Channel, so peak memory is one page history per worker
-  /// plus the channel capacity. Executor selection is the same as
-  /// ProcessDumpXmlParallel's. Results keep dump order and are
-  /// bit-identical to ProcessDumpXml on the same bytes.
+  /// (xmldump::PageStreamReader), so the whole dump is never in memory.
+  /// Executor choice, order and results are ProcessDumpXml's.
   StatusOr<std::vector<PageResult>> ProcessDumpStream(
       std::istream& input, unsigned num_threads = 1) const;
 
-  /// Processes one page history. Revisions whose model is "html" are
-  /// parsed as HTML; all others as wikitext.
+  /// Processes one page history: the per-page step (core/page_step.h) on
+  /// a fresh PageState. Revisions whose model is "html" are parsed as
+  /// HTML; all others as wikitext.
   PageResult ProcessPage(const xmldump::PageHistory& page) const;
 
   const matching::MatcherConfig& config() const { return config_; }
 
   /// Attaches a match-decision provenance sink (nullptr detaches). The
   /// sink receives one record per matcher decision, stamped with the page
-  /// title; it must be thread-safe when the parallel entry points are
-  /// used, and must outlive every subsequent Process* call.
+  /// title; it must be thread-safe when pages run on an executor, and
+  /// must outlive every subsequent Process* call.
   void set_provenance_sink(obs::ProvenanceSink* sink) {
     provenance_ = sink;
   }
 
-  /// Attaches a work-stealing pool (nullptr detaches). The parallel
-  /// entry points then run their pages on it instead of a local pool,
-  /// and every page's matchers use it for intra-step parallelism. The
-  /// executor must outlive every subsequent Process* call. Attaching
-  /// one never changes results, only wall time.
+  /// Attaches a work-stealing pool (nullptr detaches). The dump entry
+  /// points then run their pages on it at any `num_threads`, and every
+  /// page's matchers use it for intra-step parallelism. The executor must
+  /// outlive every subsequent Process* call. Attaching one never changes
+  /// results, only wall time.
   void set_executor(parallel::Executor* executor) { executor_ = executor; }
 
  private:
-  /// ProcessPage with an explicit executor for the page's matchers (the
-  /// parallel entry points pass the pool their page tasks run on).
-  PageResult ProcessPageWith(const xmldump::PageHistory& page,
-                             parallel::Executor* executor) const;
+  /// Runs the driver over `next_page`, one fresh-state step per page.
+  StatusOr<std::vector<PageResult>> ProcessPages(const PageSource& next_page,
+                                                 unsigned num_threads) const;
 
   matching::MatcherConfig config_;
   obs::ProvenanceSink* provenance_ = nullptr;  // optional, not owned

@@ -51,17 +51,21 @@ std::unique_ptr<matching::RevisionMatcher> MakeMatcher(
   return nullptr;
 }
 
+extract::PageObjects ExtractRevision(const xmldump::Revision& revision,
+                                     extract::WikitextHistory& wikitext) {
+  if (revision.model == "html") {
+    return extract::ExtractFromHtmlSource(revision.text);
+  }
+  return wikitext.Next(revision.text);
+}
+
 std::vector<extract::PageObjects> ExtractRevisionObjects(
     const xmldump::PageHistory& page) {
   std::vector<extract::PageObjects> revisions;
   revisions.reserve(page.revisions.size());
   extract::WikitextHistory wikitext;
   for (const xmldump::Revision& rev : page.revisions) {
-    if (rev.model == "html") {
-      revisions.push_back(extract::ExtractFromHtmlSource(rev.text));
-    } else {
-      revisions.push_back(wikitext.Next(rev.text));
-    }
+    revisions.push_back(ExtractRevision(rev, wikitext));
   }
   return revisions;
 }

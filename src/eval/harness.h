@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "extract/wikitext_extractor.h"
 #include "matching/interface.h"
 #include "matching/matcher.h"
 #include "xmldump/dump.h"
@@ -31,9 +32,14 @@ std::unique_ptr<matching::RevisionMatcher> MakeMatcher(
     Approach approach, extract::ObjectType type,
     const matching::MatcherConfig& config = {});
 
-/// Extracts the per-revision object instances of one dump page. The
-/// revision text is parsed as HTML when `revision.model` is "html" and as
-/// wikitext otherwise, through one extract::WikitextHistory per call.
+/// Extracts one revision's object instances: its text is parsed as HTML
+/// when `revision.model` is "html", and otherwise as the next revision of
+/// `wikitext`.
+extract::PageObjects ExtractRevision(const xmldump::Revision& revision,
+                                     extract::WikitextHistory& wikitext);
+
+/// Extracts the per-revision object instances of one dump page, through
+/// ExtractRevision and one extract::WikitextHistory per call.
 std::vector<extract::PageObjects> ExtractRevisionObjects(
     const xmldump::PageHistory& page);
 

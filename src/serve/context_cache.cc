@@ -7,8 +7,8 @@ namespace somr::serve {
 ContextCache::ContextCache(state::ContextStore* store, size_t capacity)
     : store_(store), capacity_(capacity < 1 ? 1 : capacity) {}
 
-StatusOr<state::PageState*> ContextCache::GetOrLoad(const std::string& id,
-                                                    bool create) {
+StatusOr<core::PageState*> ContextCache::GetOrLoad(const std::string& id,
+                                                   bool create) {
   auto it = entries_.find(id);
   if (it != entries_.end()) {
     ++stats_.hits;
@@ -16,9 +16,9 @@ StatusOr<state::PageState*> ContextCache::GetOrLoad(const std::string& id,
     return &it->second->state;
   }
 
-  state::PageState state(store_->config());
+  core::PageState state(store_->config());
   if (store_->Lookup(id).has_value()) {
-    StatusOr<state::PageState> loaded = store_->Load(id);
+    StatusOr<core::PageState> loaded = store_->Load(id);
     if (!loaded.ok()) return loaded.status();
     state = std::move(*loaded);
     ++stats_.faults;

@@ -11,7 +11,7 @@
 namespace somr::serve {
 
 /// Bounded set of resident matcher contexts for one serve shard. Each
-/// entry is a live state::PageState (matcher, rear-view windows, graphs,
+/// entry is a live core::PageState (matcher, rear-view windows, graphs,
 /// extracted history) keyed by context id (= page title). A context that
 /// falls out of the LRU is spilled: saved to the ContextStore when dirty
 /// (snapshot + manifest row), then dropped from memory; the next request
@@ -41,7 +41,7 @@ class ContextCache {
   /// it). Marks the entry most-recently-used and evicts past capacity —
   /// so any returned pointer is only valid until the next GetOrLoad /
   /// Checkpoint call on this cache. NotFound when absent and !create.
-  StatusOr<state::PageState*> GetOrLoad(const std::string& id, bool create);
+  StatusOr<core::PageState*> GetOrLoad(const std::string& id, bool create);
 
   /// Marks `id`'s resident entry as needing a snapshot write before it
   /// can be dropped. No-op when not resident.
@@ -64,10 +64,10 @@ class ContextCache {
  private:
   struct Entry {
     std::string id;
-    state::PageState state;
+    core::PageState state;
     bool dirty = false;
 
-    explicit Entry(std::string id_in, state::PageState state_in)
+    explicit Entry(std::string id_in, core::PageState state_in)
         : id(std::move(id_in)), state(std::move(state_in)) {}
   };
 

@@ -14,13 +14,13 @@
 
 #include "common/hash.h"
 #include "common/timer.h"
+#include "core/page_step.h"
 #include "matching/graph_io.h"
 #include "obs/build_info.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/window.h"
-#include "state/incremental_pipeline.h"
 #include "xmldump/dump.h"
 
 namespace somr::serve {
@@ -751,14 +751,14 @@ HttpResponse Server::HandleIngest(const std::string& id,
 
   return OnShard(id, [this, id, page = std::move(page)](
                          ContextCache& cache) -> HttpResponse {
-    StatusOr<state::PageState*> resident =
+    StatusOr<core::PageState*> resident =
         cache.GetOrLoad(id, /*create=*/true);
     if (!resident.ok()) {
       return ErrorResponse(500, resident.status().ToString());
     }
     CollectSink sink(&provenance_);
-    state::IngestReport report =
-        state::ApplyPageToState(**resident, page, &sink, nullptr);
+    core::IngestReport report =
+        core::ApplyPageToState(**resident, page, &sink, nullptr);
     if (report.new_revisions > 0) cache.MarkDirty(id);
 
     const bool page_skipped =
@@ -783,7 +783,7 @@ HttpResponse Server::HandleIngest(const std::string& id,
 
 HttpResponse Server::HandleGraph(const std::string& id) {
   return OnShard(id, [id](ContextCache& cache) -> HttpResponse {
-    StatusOr<state::PageState*> resident =
+    StatusOr<core::PageState*> resident =
         cache.GetOrLoad(id, /*create=*/false);
     if (!resident.ok()) {
       const int status =
@@ -834,7 +834,7 @@ HttpResponse Server::HandleHistory(const std::string& id,
 
   return OnShard(id, [id, type, type_name,
                       object_id](ContextCache& cache) -> HttpResponse {
-    StatusOr<state::PageState*> resident =
+    StatusOr<core::PageState*> resident =
         cache.GetOrLoad(id, /*create=*/false);
     if (!resident.ok()) {
       const int status =

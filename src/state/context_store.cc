@@ -224,7 +224,7 @@ std::vector<ContextStore::PageInfo> ContextStore::Pages() const {
   return out;
 }
 
-StatusOr<PageState> ContextStore::Load(const std::string& title) const {
+StatusOr<core::PageState> ContextStore::Load(const std::string& title) const {
   SOMR_TRACE_SCOPE_CAT("state", "state/snapshot_load");
   const auto started = std::chrono::steady_clock::now();
   {
@@ -239,7 +239,7 @@ StatusOr<PageState> ContextStore::Load(const std::string& title) const {
   std::vector<std::string_view> records;
   records.reserve(chain->size());
   for (const ChainRecord& record : *chain) records.push_back(record.payload);
-  StatusOr<PageState> state = DecodePageChain(records, config_);
+  StatusOr<core::PageState> state = DecodePageChain(records, config_);
   SOMR_RETURN_IF_ERROR(state.status());
   GetSnapshotMetrics().delta_replays->Increment(records.size() - 1);
   if (state->title != title) {
@@ -261,15 +261,15 @@ StatusOr<PageState> ContextStore::Load(const std::string& title) const {
   return state;
 }
 
-Status ContextStore::Save(const PageState& state) {
+Status ContextStore::Save(const core::PageState& state) {
   return SaveInternal(state, /*commit=*/true);
 }
 
-Status ContextStore::SaveUncommitted(const PageState& state) {
+Status ContextStore::SaveUncommitted(const core::PageState& state) {
   return SaveInternal(state, /*commit=*/false);
 }
 
-Status ContextStore::SaveInternal(const PageState& state, bool commit) {
+Status ContextStore::SaveInternal(const core::PageState& state, bool commit) {
   SOMR_TRACE_SCOPE_CAT("state", "state/snapshot_save");
 
   // Decide the record kind: a delta needs a live watermark (this

@@ -124,15 +124,15 @@ class ContextStore {
   /// Replays the page's record chain (full snapshot + deltas) into a
   /// fresh state; NotFound when the page has never been saved,
   /// ParseError/InvalidArgument per DecodePageChain.
-  StatusOr<PageState> Load(const std::string& title) const;
+  StatusOr<core::PageState> Load(const std::string& title) const;
 
   /// Persists `state` (as a delta when the chain allows it) and makes
   /// it durable: equivalent to SaveUncommitted() + Commit().
-  Status Save(const PageState& state);
+  Status Save(const core::PageState& state);
 
   /// Appends the page's record without committing the index/manifest.
   /// Cheap (sequential write, no fsync); not durable until Commit().
-  Status SaveUncommitted(const PageState& state);
+  Status SaveUncommitted(const core::PageState& state);
 
   /// The durability point: fsyncs dirty record shards, atomically
   /// rewrites the log index and the manifest, then kicks off any due
@@ -158,7 +158,7 @@ class ContextStore {
   const StoreOptions& options() const { return options_; }
 
  private:
-  Status SaveInternal(const PageState& state, bool commit);
+  Status SaveInternal(const core::PageState& state, bool commit);
   Status WriteManifestLocked() SOMR_REQUIRES(mu_);
   Status CommitInternal();
   void ScheduleCompactions();

@@ -5,24 +5,12 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/page_step.h"
 #include "core/pipeline.h"
 #include "state/context_store.h"
 #include "xmldump/dump.h"
 
 namespace somr::state {
-
-/// Outcome of ingesting one page (or, summed, one dump).
-struct IngestReport {
-  size_t pages = 0;
-  size_t new_revisions = 0;
-  size_t skipped_revisions = 0;  // already present in the context store
-
-  void Add(const IngestReport& other) {
-    pages += other.pages;
-    new_revisions += other.new_revisions;
-    skipped_revisions += other.skipped_revisions;
-  }
-};
 
 /// The resumable counterpart of core::Pipeline: revision streams are
 /// append-only feeds, matcher state is durable in a ContextStore, and
@@ -37,21 +25,16 @@ class IncrementalPipeline {
   explicit IncrementalPipeline(ContextStore* store) : store_(store) {}
 
   /// Ingests one page history: loads its context (fresh when unseen),
-  /// skips already-ingested revisions — by revision id when the feed
-  /// carries ids (revisions with id <= the stored last id are considered
-  /// seen), by ordinal otherwise (feeds without ids must restate history
-  /// from revision 0) — applies the rest to the matcher, and checkpoints.
-  StatusOr<IngestReport> IngestPage(const xmldump::PageHistory& page);
+  /// runs the per-page step (core::ApplyPageToState) and checkpoints.
+  StatusOr<core::IngestReport> IngestPage(const xmldump::PageHistory& page);
 
-  /// Streams a dump and ingests every page on a work-stealing pool
-  /// (pages are independent; at most ~2x workers page histories are in
-  /// memory at once, never the whole dump). Uses the executor attached
-  /// via set_executor when one is present (num_threads then only gates
-  /// the sequential fallback); otherwise spins up a local pool of
-  /// `num_threads` workers. `num_threads <= 1` without an attached
-  /// executor ingests sequentially.
-  StatusOr<IngestReport> IngestDump(std::istream& xml,
-                                    unsigned num_threads = 1);
+  /// Streams a dump and ingests every page through the dump driver
+  /// (core::DrivePages: the attached executor, else a local pool of
+  /// `num_threads` workers when that is > 1, else the calling thread).
+  /// The store commits once at the end, also after a failed page, so the
+  /// pages that did save stay durable.
+  StatusOr<core::IngestReport> IngestDump(std::istream& xml,
+                                          unsigned num_threads = 1);
 
   /// Reassembles the full batch-equivalent PageResult for a stored page
   /// (identity graphs, extracted revisions, timestamps, stats) without
@@ -66,43 +49,15 @@ class IncrementalPipeline {
   }
 
   /// Attaches a work-stealing pool (nullptr detaches): IngestDump runs
-  /// its pages on it, and every page's matcher uses it for intra-step
-  /// parallelism. Must outlive every Ingest* call; never changes
-  /// results, only wall time.
+  /// its pages on it at any `num_threads`, and every page's matcher uses
+  /// it for intra-step parallelism. Must outlive every Ingest* call;
+  /// never changes results, only wall time.
   void set_executor(parallel::Executor* executor) { executor_ = executor; }
 
  private:
-  /// IngestPage with an explicit executor for the page's matcher (the
-  /// parallel ingest path passes the pool its page tasks run on).
-  /// `commit` false defers the store's index/manifest rewrite and
-  /// fsyncs to one ContextStore::Commit at the end of the dump —
-  /// per-page appends stay sequential writes.
-  StatusOr<IngestReport> IngestPageWith(const xmldump::PageHistory& page,
-                                        parallel::Executor* executor,
-                                        bool commit = true);
-
   ContextStore* store_;
   obs::ProvenanceSink* provenance_ = nullptr;  // optional, not owned
   parallel::Executor* executor_ = nullptr;     // optional, not owned
 };
-
-/// The shared ingest core: applies `page`'s not-yet-seen revisions to
-/// `state` (skip-seen by revision id when the feed carries ids, by
-/// ordinal otherwise), updates the ingest metrics — including
-/// `somr_ingest_pages_skipped_total` when every revision was already
-/// present — and reports what happened. Does NOT persist `state`; the
-/// caller decides when to checkpoint (IncrementalPipeline saves per
-/// page, the serve layer marks the cache entry dirty and spills lazily).
-/// `provenance` (nullable) receives match decisions stamped with the
-/// page title; `executor` (nullable) parallelizes matcher-internal steps
-/// without changing results.
-IngestReport ApplyPageToState(PageState& state,
-                              const xmldump::PageHistory& page,
-                              obs::ProvenanceSink* provenance,
-                              parallel::Executor* executor);
-
-/// Converts a loaded page state into the pipeline's result form,
-/// consuming the matcher (graphs and stats are moved out).
-core::PageResult StateToResult(PageState state);
 
 }  // namespace somr::state

@@ -481,7 +481,7 @@ uint64_t ConfigFingerprint(const matching::MatcherConfig& config) {
   return Fnv1a64(w.bytes());
 }
 
-SnapshotWatermark CaptureWatermark(const PageState& state) {
+SnapshotWatermark CaptureWatermark(const core::PageState& state) {
   SnapshotWatermark mark;
   mark.revisions_ingested = state.revisions_ingested;
   MatcherSerde::Capture(state.matcher, &mark);
@@ -508,7 +508,7 @@ Status WriteSection(ByteWriter& w, uint32_t tag, Fill fill) {
 }
 
 /// Appends the history entries from revision `from` on.
-void AppendHistory(const PageState& state, uint32_t from, ByteWriter& w) {
+void AppendHistory(const core::PageState& state, uint32_t from, ByteWriter& w) {
   w.U64(state.revisions.size() - from);
   for (size_t i = from; i < state.revisions.size(); ++i) {
     for (const extract::ObjectType type : kObjectTypes) {
@@ -525,7 +525,7 @@ void AppendHistory(const PageState& state, uint32_t from, ByteWriter& w) {
   }
 }
 
-Status ReadHistory(ByteReader& r, PageState* state) {
+Status ReadHistory(ByteReader& r, core::PageState* state) {
   uint64_t new_revisions = 0;
   SOMR_RETURN_IF_ERROR(r.Count(&new_revisions, 24));
   state->revisions.reserve(state->revisions.size() +
@@ -567,7 +567,7 @@ Status ReadHistory(ByteReader& r, PageState* state) {
 /// Applies one record to `state`, which must be exactly the record's
 /// base — the empty state for a full record — as the base counts in
 /// every section enforce.
-Status ApplyRecord(const RecordSections& sections, PageState* state) {
+Status ApplyRecord(const RecordSections& sections, core::PageState* state) {
   ByteReader meta(sections.meta);
   std::string title;
   int64_t page_id = 0, last_revision_id = 0, last_timestamp = 0;
@@ -614,7 +614,7 @@ Status ApplyRecord(const RecordSections& sections, PageState* state) {
 
 /// A decoded state must be one the matcher could have produced: every
 /// checksum can be right while a field was edited before it was taken.
-Status CheckDecodedState(const PageState& state) {
+Status CheckDecodedState(const core::PageState& state) {
   ValidationReport report;
   state.matcher.Validate(&report);
   for (const extract::ObjectType type : kObjectTypes) {
@@ -689,7 +689,7 @@ Status ReadRecordSections(std::string_view record, RecordSections* out) {
   return Status::OK();
 }
 
-StatusOr<std::string> EncodePageRecord(const PageState& state,
+StatusOr<std::string> EncodePageRecord(const core::PageState& state,
                                        const SnapshotWatermark* base) {
   const SnapshotWatermark from =
       base != nullptr ? *base : SnapshotWatermark{};
@@ -729,14 +729,14 @@ StatusOr<std::string> EncodePageRecord(const PageState& state,
   return w.Take();
 }
 
-StatusOr<PageState> DecodePageChain(
+StatusOr<core::PageState> DecodePageChain(
     const std::vector<std::string_view>& records,
     const matching::MatcherConfig& config) {
   if (records.empty()) {
     return Status::ParseError("empty record chain");
   }
   const uint64_t fingerprint = ConfigFingerprint(config);
-  PageState state(config);
+  core::PageState state(config);
   for (size_t i = 0; i < records.size(); ++i) {
     RecordSections sections;
     SOMR_RETURN_IF_ERROR(ReadRecordSections(records[i], &sections));

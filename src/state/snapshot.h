@@ -6,39 +6,10 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/time_util.h"
-#include "extract/object.h"
+#include "core/page_step.h"
 #include "matching/matcher.h"
 
 namespace somr::state {
-
-/// The durable per-page matching context: everything needed to resume
-/// Algorithm 1 mid-stream and to regenerate every derived output (identity
-/// graphs, change cube, classification) without reprocessing history.
-///
-/// `matcher` carries the live online state (token pool, rear-view FlatBag
-/// windows, decay/tie-break bookkeeping, identity graphs, match stats);
-/// `revisions`/`timestamps` carry the extracted instance history the
-/// change-cube diff needs. Revision bookkeeping identifies what has been
-/// ingested so appends can skip already-seen revisions.
-struct PageState {
-  explicit PageState(matching::MatcherConfig config = {})
-      : matcher(config) {}
-
-  std::string title;
-  int64_t page_id = 0;
-  /// Highest MediaWiki revision id ingested (0 when the feed carries no
-  /// ids — then `revisions_ingested` ordinals drive the skip logic).
-  int64_t last_revision_id = 0;
-  UnixSeconds last_timestamp = 0;
-  /// Number of revisions applied to the matcher == the next revision
-  /// index (revision indices are global over the page's lifetime).
-  uint32_t revisions_ingested = 0;
-
-  matching::PageMatcher matcher;
-  std::vector<extract::PageObjects> revisions;
-  std::vector<UnixSeconds> timestamps;
-};
 
 /// Container constants shared by the snapshot codec and the offline
 /// validator (src/state/validate.h). Full records and delta records use
@@ -84,7 +55,7 @@ struct SnapshotWatermark {
 
 /// Reads the watermark off a live state (what a record of this state
 /// would become the base of).
-SnapshotWatermark CaptureWatermark(const PageState& state);
+SnapshotWatermark CaptureWatermark(const core::PageState& state);
 
 /// Serializes what changed in `state` since `base` as one record of the
 /// page's chain:
@@ -102,7 +73,7 @@ SnapshotWatermark CaptureWatermark(const PageState& state);
 /// InvalidArgument when the state's history length disagrees with its
 /// ingested count or `state` is not a descendant of `base` (counts ran
 /// backwards); the caller should then write a full record instead.
-StatusOr<std::string> EncodePageRecord(const PageState& state,
+StatusOr<std::string> EncodePageRecord(const core::PageState& state,
                                        const SnapshotWatermark* base);
 
 /// Rebuilds a page state from its record chain: the full record applied
@@ -116,7 +87,7 @@ StatusOr<std::string> EncodePageRecord(const PageState& state,
 /// a record's config fingerprint does not match `config` — never
 /// crashes. The decoded state re-encodes to the bytes a full record of
 /// the saved state has.
-StatusOr<PageState> DecodePageChain(
+StatusOr<core::PageState> DecodePageChain(
     const std::vector<std::string_view>& records,
     const matching::MatcherConfig& config);
 

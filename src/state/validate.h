@@ -1,7 +1,7 @@
 #pragma once
 
 // Snapshot-container validator (DESIGN.md §11): verifies a record written
-// by EncodePageRecord without materializing a PageState — magic, format
+// by EncodePageRecord without materializing a core::PageState — magic, format
 // version, section framing within bounds, every section's FNV-1a64
 // checksum against its payload bytes and the required sections, through
 // the codec's own container reader. Optionally checks the config

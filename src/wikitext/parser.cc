@@ -1,7 +1,10 @@
 #include "wikitext/parser.h"
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -169,26 +172,60 @@ size_t TableEnd(const std::vector<std::string_view>& lines, size_t begin) {
   return lines.size();
 }
 
-/// One past the line where the `{{ }}` braces opened at line `begin`
-/// balance, or kNoLine when they never do on this page.
-size_t TemplateEnd(const std::vector<std::string_view>& lines,
-                   size_t begin) {
-  int depth = 0;
-  for (size_t pos = begin; pos < lines.size(); ++pos) {
-    std::string_view line = lines[pos];
-    for (size_t i = 0; i + 1 < line.size(); ++i) {
-      if (line[i] == '{' && line[i + 1] == '{') {
-        depth++;
-        ++i;
-      } else if (line[i] == '}' && line[i + 1] == '}') {
-        depth--;
-        ++i;
+/// `{{` minus `}}` in one line, each pair consumed left to right.
+int64_t BraceDelta(std::string_view line) {
+  int64_t delta = 0;
+  size_t i = std::min(line.find('{'), line.find('}'));
+  for (; i != std::string_view::npos && i + 1 < line.size(); ++i) {
+    if (line[i] == '{' && line[i + 1] == '{') {
+      delta++;
+      ++i;
+    } else if (line[i] == '}' && line[i + 1] == '}') {
+      delta--;
+      ++i;
+    }
+  }
+  return delta;
+}
+
+/// Where the `{{ }}` braces opened at a line balance, for SegmentBlocks,
+/// which asks about lines in increasing order. With P the prefix sums of
+/// the per-line deltas, braces opened at line b balance after line e - 1
+/// for the least e > b with P[e] <= P[b]; one pass with a monotonic stack
+/// of the lines not yet balanced finds e for every line it reads. The
+/// pass restarts at a line it has not read (earlier lines are never asked
+/// about again), so no line is read twice and a page costs linear time.
+class TemplateEnds {
+ public:
+  explicit TemplateEnds(const std::vector<std::string_view>& lines)
+      : lines_(lines) {}
+
+  /// One past the line where the braces opened at line `begin` balance,
+  /// or kNoLine when they never do on this page.
+  size_t At(size_t begin) {
+    if (ends_.empty()) ends_.assign(lines_.size(), kNoLine);
+    if (begin >= next_) {
+      open_.clear();
+      next_ = begin;
+    }
+    while (ends_[begin] == kNoLine && next_ < lines_.size()) {
+      open_.emplace_back(next_, sum_);
+      sum_ += BraceDelta(lines_[next_++]);
+      while (!open_.empty() && open_.back().second >= sum_) {
+        ends_[open_.back().first] = next_;
+        open_.pop_back();
       }
     }
-    if (depth <= 0) return pos + 1;
+    return ends_[begin];
   }
-  return kNoLine;
-}
+
+ private:
+  const std::vector<std::string_view>& lines_;
+  std::vector<size_t> ends_;  // by line; kNoLine while not known
+  std::vector<std::pair<size_t, int64_t>> open_;  // (line, P at its start)
+  size_t next_ = 0;  // the first line not read
+  int64_t sum_ = 0;  // P[next_]
+};
 
 /// One past the last line of the run of list-item lines at `begin`.
 size_t ListEnd(const std::vector<std::string_view>& lines, size_t begin) {
@@ -205,7 +242,7 @@ size_t ListEnd(const std::vector<std::string_view>& lines, size_t begin) {
 /// without surrounding whitespace); a one-line kParagraph block when the
 /// line is paragraph text.
 Block BlockAt(const std::vector<std::string_view>& lines, size_t pos,
-              std::string_view trimmed) {
+              std::string_view trimmed, TemplateEnds& template_ends) {
   int level = 0;
   if (!HeadingTitle(trimmed, level).empty()) {
     return {BlockKind::kHeading, pos, pos + 1};
@@ -216,7 +253,7 @@ Block BlockAt(const std::vector<std::string_view>& lines, size_t pos,
   if (trimmed.substr(0, 2) == "{{") {
     // A block template only when its braces balance within the page; an
     // unbalanced `{{` line is paragraph text.
-    const size_t end = TemplateEnd(lines, pos);
+    const size_t end = template_ends.At(pos);
     if (end == kNoLine) return {BlockKind::kParagraph, pos, pos + 1};
     return {BlockKind::kTemplate, pos, end};
   }
@@ -424,6 +461,7 @@ std::vector<std::string_view> SplitLines(std::string_view text) {
 
 std::vector<Block> SegmentBlocks(const std::vector<std::string_view>& lines) {
   std::vector<Block> blocks;
+  TemplateEnds template_ends(lines);
   // First line of the paragraph being gathered, or kNoLine.
   size_t paragraph = kNoLine;
   auto close_paragraph = [&](size_t end) {
@@ -440,7 +478,7 @@ std::vector<Block> SegmentBlocks(const std::vector<std::string_view>& lines) {
       ++pos;
       continue;
     }
-    const Block block = BlockAt(lines, pos, trimmed);
+    const Block block = BlockAt(lines, pos, trimmed, template_ends);
     if (block.kind == BlockKind::kParagraph) {
       if (paragraph == kNoLine) paragraph = pos;
     } else {

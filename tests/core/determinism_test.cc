@@ -68,7 +68,7 @@ TEST(DeterminismTest, GraphsAndCubesIdenticalAcrossThreadCounts) {
     Pipeline parallel_pipeline;
     parallel_pipeline.set_executor(&pool);
 
-    auto in_memory = parallel_pipeline.ProcessDumpXmlParallel(xml, threads);
+    auto in_memory = parallel_pipeline.ProcessDumpXml(xml, threads);
     ASSERT_TRUE(in_memory.ok());
     EXPECT_EQ(Fingerprint(*in_memory), expected) << threads << " threads";
 
@@ -117,7 +117,7 @@ TEST(DeterminismTest, NestedPageAndStageParallelismIsDeterministic) {
   parallel::Executor pool(4);
   Pipeline parallel_pipeline(config);
   parallel_pipeline.set_executor(&pool);
-  auto nested = parallel_pipeline.ProcessDumpXmlParallel(xml, 4);
+  auto nested = parallel_pipeline.ProcessDumpXml(xml, 4);
   ASSERT_TRUE(nested.ok());
   EXPECT_EQ(Fingerprint(*nested), Fingerprint(*sequential));
 }

@@ -92,7 +92,7 @@ TEST(PipelineTest, ParallelMatchesSequential) {
   std::string xml = xmldump::WriteDump(wikigen::CorpusToDump(corpus));
   Pipeline pipeline;
   auto sequential = pipeline.ProcessDumpXml(xml);
-  auto parallel = pipeline.ProcessDumpXmlParallel(xml, 4);
+  auto parallel = pipeline.ProcessDumpXml(xml, 4);
   ASSERT_TRUE(sequential.ok());
   ASSERT_TRUE(parallel.ok());
   ASSERT_EQ(sequential->size(), parallel->size());
@@ -111,7 +111,7 @@ TEST(PipelineTest, ParallelWithOneThreadIsSequential) {
   wikigen::GoldCorpus corpus = TinyCorpus();
   std::string xml = xmldump::WriteDump(wikigen::CorpusToDump(corpus));
   Pipeline pipeline;
-  auto result = pipeline.ProcessDumpXmlParallel(xml, 1);
+  auto result = pipeline.ProcessDumpXml(xml, 1);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), corpus.pages.size());
 }
@@ -122,7 +122,7 @@ TEST(PipelineTest, ParallelMoreThreadsThanPages) {
   std::string xml = xmldump::WriteDump(wikigen::CorpusToDump(corpus));
   Pipeline pipeline;
   auto sequential = pipeline.ProcessDumpXml(xml);
-  auto parallel = pipeline.ProcessDumpXmlParallel(xml, 16);
+  auto parallel = pipeline.ProcessDumpXml(xml, 16);
   ASSERT_TRUE(sequential.ok());
   ASSERT_TRUE(parallel.ok());
   ASSERT_EQ(parallel->size(), corpus.pages.size());
@@ -139,7 +139,7 @@ TEST(PipelineTest, EmptyDumpYieldsNoPages) {
   auto sequential = pipeline.ProcessDumpXml(xml);
   ASSERT_TRUE(sequential.ok());
   EXPECT_TRUE(sequential->empty());
-  auto parallel = pipeline.ProcessDumpXmlParallel(xml, 4);
+  auto parallel = pipeline.ProcessDumpXml(xml, 4);
   ASSERT_TRUE(parallel.ok());
   EXPECT_TRUE(parallel->empty());
 }

@@ -88,6 +88,15 @@ TEST(LintFixtureTest, RegexInHotPathCoversState) {
   EXPECT_GE(CountRule(r, "regex-in-hot-path"), 2u);  // include + use
 }
 
+TEST(LintFixtureTest, CoreIsInRegexAndStderrScope) {
+  // The per-page step behind batch, ingest and serve lives in src/core.
+  LintResult r = LintFixture("src/core/step_violations.cc");
+  EXPECT_EQ(CountRule(r, "regex-in-hot-path"), 3u);  // include + 2 uses
+  EXPECT_EQ(CountRule(r, "raw-stderr-log"), 1u);
+  EXPECT_EQ(LinesOfRule(r, "raw-stderr-log"), (std::vector<int>{11}));
+  EXPECT_EQ(r.diagnostics.size(), 4u);
+}
+
 TEST(LintFixtureTest, RegexRuleIsPathScoped) {
   // The same content outside src/matching//src/sim is allowed.
   std::string content = ReadFixture("src/matching/uses_regex.cc");

@@ -179,13 +179,13 @@ TEST(RetrievalSnapshotTest, RestoredIndexValidatesAndContinuesIdentically) {
     const size_t split = objects.size() / 2;
 
     // Uninterrupted run.
-    state::PageState full;
+    core::PageState full;
     for (size_t r = 0; r < objects.size(); ++r) {
       full.matcher.ProcessRevision(static_cast<int>(r), objects[r]);
     }
 
     // Run to the split, snapshot, restore, continue.
-    state::PageState first;
+    core::PageState first;
     first.title = "retrieval snapshot fixture";
     for (size_t r = 0; r < split; ++r) {
       first.matcher.ProcessRevision(static_cast<int>(r), objects[r]);
@@ -195,10 +195,10 @@ TEST(RetrievalSnapshotTest, RestoredIndexValidatesAndContinuesIdentically) {
     }
     StatusOr<std::string> record = state::EncodePageRecord(first, nullptr);
     ASSERT_TRUE(record.ok()) << record.status().ToString();
-    StatusOr<state::PageState> decoded =
+    StatusOr<core::PageState> decoded =
         state::DecodePageChain({*record}, matching::MatcherConfig{});
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    state::PageState& resumed = *decoded;
+    core::PageState& resumed = *decoded;
 
     // The rebuilt index must agree with the restored windows.
     ValidationReport report;

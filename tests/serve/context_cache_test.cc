@@ -32,7 +32,7 @@ class ContextCacheTest : public ::testing::Test {
 
 TEST_F(ContextCacheTest, CreatesFreshContextOnDemand) {
   ContextCache cache(store_.get(), 4);
-  StatusOr<state::PageState*> state = cache.GetOrLoad("A", /*create=*/true);
+  StatusOr<core::PageState*> state = cache.GetOrLoad("A", /*create=*/true);
   ASSERT_TRUE(state.ok());
   EXPECT_EQ((*state)->title, "A");
   EXPECT_EQ(cache.resident(), 1u);
@@ -41,7 +41,7 @@ TEST_F(ContextCacheTest, CreatesFreshContextOnDemand) {
 
 TEST_F(ContextCacheTest, MissWithoutCreateIsNotFound) {
   ContextCache cache(store_.get(), 4);
-  StatusOr<state::PageState*> state =
+  StatusOr<core::PageState*> state =
       cache.GetOrLoad("nope", /*create=*/false);
   EXPECT_EQ(state.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(cache.resident(), 0u);
@@ -57,7 +57,7 @@ TEST_F(ContextCacheTest, SecondLookupIsAHit) {
 
 TEST_F(ContextCacheTest, EvictionSpillsDirtyStateAndFaultsItBack) {
   ContextCache cache(store_.get(), 1);
-  StatusOr<state::PageState*> a = cache.GetOrLoad("A", true);
+  StatusOr<core::PageState*> a = cache.GetOrLoad("A", true);
   ASSERT_TRUE(a.ok());
   (*a)->last_revision_id = 42;
   (*a)->revisions_ingested = 0;
@@ -71,7 +71,7 @@ TEST_F(ContextCacheTest, EvictionSpillsDirtyStateAndFaultsItBack) {
   ASSERT_TRUE(store_->Lookup("A").has_value());
 
   // Touching A again faults the snapshot back with the mutation intact.
-  StatusOr<state::PageState*> again = cache.GetOrLoad("A", false);
+  StatusOr<core::PageState*> again = cache.GetOrLoad("A", false);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ((*again)->last_revision_id, 42);
   EXPECT_EQ(cache.stats().faults, 1u);

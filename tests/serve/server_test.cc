@@ -23,6 +23,7 @@
 #include "serve/client.h"
 #include "serve/http.h"
 #include "state/context_store.h"
+#include "state/incremental_pipeline.h"
 #include "wikigen/corpus.h"
 #include "xmldump/dump.h"
 
@@ -355,6 +356,51 @@ TEST_F(ServerTest, ServeIngestMatchesBatchByteForByte) {
       Get("/context/" + PercentEncode(dump.pages[0].title) +
           "/provenance?limit=5");
   ASSERT_EQ(provenance.status, 200);
+}
+
+// Batch, ingest and serve share one per-page step, whose skip watermark
+// is read once per call: a 14-revision page whose ids run from 1000 down
+// to 987 applies all 14 revisions in every mode, with the same graphs.
+TEST_F(ServerTest, DescendingRevisionIdsApplyEveryRevisionInEveryMode) {
+  wikigen::CorpusConfig config;
+  config.focal_type = extract::ObjectType::kTable;
+  config.strata_caps = {3};
+  config.pages_per_stratum = 1;
+  config.min_revisions = 14;
+  config.max_revisions = 14;
+  config.seed = 23;
+  xmldump::Dump dump =
+      wikigen::CorpusToDump(wikigen::GenerateGoldCorpus(config));
+  xmldump::PageHistory page = dump.pages.at(0);
+  ASSERT_EQ(page.revisions.size(), 14u);
+  for (size_t r = 0; r < page.revisions.size(); ++r) {
+    page.revisions[r].id = 1000 - static_cast<int64_t>(r);
+  }
+
+  const core::PageResult batch = core::Pipeline().ProcessPage(page);
+  ASSERT_EQ(batch.revisions.size(), 14u);
+
+  OpenStore(/*create=*/true);
+  state::IncrementalPipeline ingest(store_.get());
+  StatusOr<core::IngestReport> ingested = ingest.IngestPage(page);
+  ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+  EXPECT_EQ(ingested->new_revisions, 14u);
+  EXPECT_EQ(ingested->skipped_revisions, 0u);
+  StatusOr<core::PageResult> stored = ingest.ResultFor(page.title);
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  EXPECT_EQ(BatchGraphs(*stored), BatchGraphs(batch));
+
+  xmldump::PageHistory served = page;
+  served.title = "served";
+  StartServer(4);
+  ClientResponse response =
+      Post("/context/served/revision", PageXml(served));
+  ASSERT_EQ(response.status, 200) << response.body;
+  EXPECT_NE(response.body.find("\"new_revisions\": 14,"), std::string::npos)
+      << response.body;
+  ClientResponse graph = Get("/context/served/graph");
+  ASSERT_EQ(graph.status, 200);
+  EXPECT_EQ(graph.body, BatchGraphs(batch));
 }
 
 // Sends one raw HTTP/1.1 request (the HttpClient has no custom-header

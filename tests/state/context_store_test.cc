@@ -18,6 +18,8 @@
 namespace somr::state {
 namespace {
 
+using core::PageState;
+
 // Fresh store directory per test, removed on teardown.
 class ContextStoreTest : public ::testing::Test {
  protected:

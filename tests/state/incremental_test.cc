@@ -17,6 +17,8 @@
 namespace somr::state {
 namespace {
 
+using core::IngestReport;
+
 constexpr extract::ObjectType kAllTypes[] = {
     extract::ObjectType::kTable, extract::ObjectType::kInfobox,
     extract::ObjectType::kList};

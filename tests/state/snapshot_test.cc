@@ -20,6 +20,8 @@
 namespace somr::state {
 namespace {
 
+using core::PageState;
+
 wikigen::CorpusConfig TinyConfig() {
   wikigen::CorpusConfig config;
   config.focal_type = extract::ObjectType::kTable;

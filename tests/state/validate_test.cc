@@ -16,6 +16,8 @@
 namespace somr::state {
 namespace {
 
+using core::PageState;
+
 PageState MakeState() {
   PageState state;
   state.title = "Validator fixture";

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <string_view>
 #include <tuple>
 #include <vector>
+
+#include "common/rng.h"
+#include "common/string_util.h"
 
 namespace somr::wikitext {
 namespace {
@@ -235,6 +239,107 @@ TEST(SegmentBlocksTest, BlockParsesFromItsOwnLinesAlone) {
     EXPECT_EQ(ParseBlock(lines, block),
               ParseBlock(own, {block.kind, 0, own.size()}));
   }
+}
+
+constexpr size_t kNever = static_cast<size_t>(-1);
+
+// The template-end scan SegmentBlocks used before its single pass, kept
+// as the reference: one past the line where the braces opened at line
+// `begin` balance, rescanning from `begin` for every `{{` line, or kNever.
+size_t ReferenceTemplateEnd(const std::vector<std::string_view>& lines,
+                            size_t begin) {
+  int depth = 0;
+  for (size_t pos = begin; pos < lines.size(); ++pos) {
+    std::string_view line = lines[pos];
+    for (size_t i = 0; i + 1 < line.size(); ++i) {
+      if (line[i] == '{' && line[i + 1] == '{') {
+        depth++;
+        ++i;
+      } else if (line[i] == '}' && line[i + 1] == '}') {
+        depth--;
+        ++i;
+      }
+    }
+    if (depth <= 0) return pos + 1;
+  }
+  return kNever;
+}
+
+bool OpensTemplate(std::string_view line) {
+  return StripAsciiWhitespace(line).substr(0, 2) == "{{";
+}
+
+// Every block template ends where the reference scan says, and every `{{`
+// line SegmentBlocks left as paragraph text never balances by it. Lines
+// inside tables, templates and lists never start a block, so these are
+// all of SegmentBlocks' template decisions. `stride` > 1 checks only
+// every stride-th paragraph line, to bound the reference's cost.
+void ExpectTemplateEndsMatchReference(
+    const std::vector<std::string_view>& lines, size_t stride = 1) {
+  for (const Block& block : SegmentBlocks(lines)) {
+    if (block.kind == BlockKind::kTemplate) {
+      EXPECT_EQ(block.end, ReferenceTemplateEnd(lines, block.begin))
+          << "template at line " << block.begin;
+    } else if (block.kind == BlockKind::kParagraph) {
+      for (size_t pos = block.begin; pos < block.end; pos += stride) {
+        if (OpensTemplate(lines[pos])) {
+          EXPECT_EQ(ReferenceTemplateEnd(lines, pos), kNever)
+              << "paragraph line " << pos;
+        }
+      }
+    }
+  }
+}
+
+TEST(SegmentBlocksTest, TemplateEndsMatchReferenceOnBraceSoup) {
+  const std::vector<std::string> pieces = {
+      "{{", "}}", "{{a|b=1", "}}x{{", "{{x}}", "x}}", "{{{", "}}}", "{}}",
+      " {{ y", "|c=2", "{|", "|}", "* item", "== H ==", "text", "{", "}",
+      "{{Infobox z", "| d = {{e}}"};
+  Rng rng(20261019);
+  size_t templates = 0;
+  for (int page = 0; page < 400; ++page) {
+    std::vector<std::string> text;
+    const int64_t num_lines = rng.UniformInt(1, 60);
+    for (int64_t l = 0; l < num_lines; ++l) {
+      std::string line;
+      const int64_t parts = rng.UniformInt(0, 3);
+      for (int64_t p = 0; p < parts; ++p) {
+        line += pieces[static_cast<size_t>(rng.UniformInt(
+            0, static_cast<int64_t>(pieces.size()) - 1))];
+      }
+      text.push_back(line);
+    }
+    const std::vector<std::string_view> lines(text.begin(), text.end());
+    ExpectTemplateEndsMatchReference(lines);
+    for (const Block& block : SegmentBlocks(lines)) {
+      templates += block.kind == BlockKind::kTemplate;
+    }
+  }
+  EXPECT_GT(templates, 100u);  // the soups do exercise block templates
+}
+
+TEST(SegmentBlocksTest, SixteenThousandUnclosedTemplateLines) {
+  // Each `{{unclosed` line used to rescan the rest of the page, so this
+  // page took about a second; the single pass reads each line once.
+  std::string text;
+  for (int i = 0; i < 16000; ++i) text += "{{unclosed\n";
+  const std::vector<std::string_view> lines = SplitLines(text);
+  const std::vector<Block> blocks = SegmentBlocks(lines);
+  ASSERT_EQ(blocks.size(), 1u);
+  EXPECT_EQ(blocks[0].kind, BlockKind::kParagraph);
+  EXPECT_EQ(blocks[0].begin, 0u);
+  EXPECT_EQ(blocks[0].end, 16000u);
+  ExpectTemplateEndsMatchReference(lines, /*stride=*/997);
+
+  // The same lines closed at the end: one template over the whole page.
+  for (int i = 0; i < 16000; ++i) text += "}}\n";
+  const std::vector<std::string_view> closed = SplitLines(text);
+  const std::vector<Block> whole = SegmentBlocks(closed);
+  ASSERT_EQ(whole.size(), 1u);
+  EXPECT_EQ(whole[0].kind, BlockKind::kTemplate);
+  EXPECT_EQ(whole[0].end, 32000u);
+  ExpectTemplateEndsMatchReference(closed);
 }
 
 TEST(ParseTemplateSourceTest, Direct) {

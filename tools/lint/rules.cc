@@ -128,7 +128,7 @@ void CheckRegexInHotPath(const SourceFile& file,
   if (!PathContains(file, "src/matching") && !PathContains(file, "src/sim") &&
       !PathContains(file, "src/retrieval") &&
       !PathContains(file, "src/serve") &&
-      !PathContains(file, "src/state")) {
+      !PathContains(file, "src/state") && !PathContains(file, "src/core")) {
     return;
   }
   for (size_t l = 0; l < file.code_lines().size(); ++l) {
@@ -153,7 +153,8 @@ void CheckRegexInHotPath(const SourceFile& file,
 
 void CheckRawStderrLog(const SourceFile& file,
                        std::vector<Diagnostic>* out) {
-  if (!PathContains(file, "src/serve") && !PathContains(file, "src/state")) {
+  if (!PathContains(file, "src/serve") && !PathContains(file, "src/state") &&
+      !PathContains(file, "src/core")) {
     return;
   }
   for (size_t l = 0; l < file.code_lines().size(); ++l) {
@@ -419,10 +420,10 @@ const std::vector<Rule>& Rules() {
        CheckBannedNewArray, nullptr},
       {"regex-in-hot-path",
        "std::regex or <regex> under src/matching, src/sim, src/retrieval, "
-       "src/serve, or src/state",
+       "src/serve, src/state, or src/core",
        CheckRegexInHotPath, nullptr},
       {"raw-stderr-log",
-       "fprintf(stderr, ...) under src/serve or src/state (use "
+       "fprintf(stderr, ...) under src/serve, src/state or src/core (use "
        "SOMR_LOG from obs/log.h)",
        CheckRawStderrLog, nullptr},
       {"volatile-sync",

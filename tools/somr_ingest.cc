@@ -76,7 +76,7 @@ int RunIngest(state::ContextStore& store, const FlagParser& flags,
     store.set_executor(&*pool);
   }
 
-  StatusOr<state::IngestReport> report =
+  StatusOr<core::IngestReport> report =
       Status::Internal("no input processed");
   {
     // Scoped so the span ends before obs.Finish() exports the trace.
@@ -133,7 +133,7 @@ int RunStatus(const state::ContextStore& store, const FlagParser& flags) {
     if (!metrics) continue;
     // Per-context matcher accounting, summed over the three object types
     // and restored from the stored snapshot (survives process restarts).
-    StatusOr<state::PageState> state = store.Load(info.title);
+    StatusOr<core::PageState> state = store.Load(info.title);
     if (!state.ok()) return Fail(state.status());
     matching::MatchStats total;
     for (extract::ObjectType type : kAllTypes) {

@@ -13,7 +13,6 @@
 
 #include "common/check.h"
 #include "common/flags.h"
-#include "common/string_util.h"
 #include "core/change_classifier.h"
 #include "core/change_cube.h"
 #include "core/pipeline.h"
@@ -62,9 +61,6 @@ int main(int argc, char** argv) {
   flags.AddBool("classify", false,
                 "print an update-classification summary");
   flags.AddBool("summary", true, "print per-page object summaries");
-  flags.AddBool("in-memory", false,
-                "load the whole dump into RAM instead of streaming "
-                "<page> blocks");
   flags.AddBool("validate", false,
                 "run the registered invariant validators over every "
                 "result (graph linearity, matching validity, retrieval "
@@ -107,28 +103,17 @@ int main(int argc, char** argv) {
     // trace buffer.
     SOMR_TRACE_SCOPE_CAT("somr", "somr/run");
     if (flags.GetBool("demo")) {
-      results = pipeline.ProcessDumpXmlParallel(DemoDump(), threads);
+      results = pipeline.ProcessDumpXml(DemoDump(), threads);
     } else if (!flags.Positional().empty()) {
+      // Stream <page> blocks so large dumps never need the whole XML in
+      // memory.
       const std::string& path = flags.Positional()[0];
-      if (flags.GetBool("in-memory")) {
-        // One sized read — no stringstream double-buffering.
-        StatusOr<std::string> xml = ReadFileToString(path);
-        if (!xml.ok()) {
-          std::fprintf(stderr, "cannot read %s: %s\n", path.c_str(),
-                       xml.status().ToString().c_str());
-          return 1;
-        }
-        results = pipeline.ProcessDumpXmlParallel(*xml, threads);
-      } else {
-        // Default: stream <page> blocks so large dumps never need the
-        // whole XML in memory.
-        std::ifstream in(path, std::ios::binary);
-        if (!in) {
-          std::fprintf(stderr, "cannot open %s\n", path.c_str());
-          return 1;
-        }
-        results = pipeline.ProcessDumpStream(in, threads);
+      std::ifstream in(path, std::ios::binary);
+      if (!in) {
+        std::fprintf(stderr, "cannot open %s\n", path.c_str());
+        return 1;
       }
+      results = pipeline.ProcessDumpStream(in, threads);
     } else {
       std::fprintf(stderr, "no input: pass a dump path or --demo\n%s",
                    flags.Usage(argv[0]).c_str());
