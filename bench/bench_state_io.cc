@@ -8,8 +8,13 @@
 // >= 5x fewer bytes written at 1000 dirty contexts of 100000.
 //
 // Bytes counted are record-shard appends (the payload the delta path
-// optimises). The per-commit index/manifest rewrite is identical in
-// both modes and reported separately.
+// optimises). The index/manifest bytes on disk are identical in both
+// modes and reported separately.
+//
+// save_commit_ms is the median of kSaveCommitProbes single-context
+// Save() calls, each a committed save as a serve spill is, on a
+// kSmallStore-context store and on the N-context delta store: what one
+// commit costs as the store grows. No bar: fsync latency is the host's.
 //
 //   bench_state_io [--contexts=N] [--dirty=M]  # human-readable report
 //   bench_state_io --json [path]               # also merge into
@@ -18,6 +23,7 @@
 //
 // Exits non-zero when the bytes-written reduction misses the bar.
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdint>
@@ -42,11 +48,21 @@ using namespace somr;
 constexpr double kAcceptanceRatio = 5.0;
 constexpr int kBaseRevisions = 12;  // revisions in every resident context
 constexpr size_t kFaultProbes = 32;
+constexpr size_t kSaveCommitProbes = 20;
+constexpr size_t kSmallStore = 1000;
 
 double MillisSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
+}
+
+double Median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                 : (values[mid - 1] + values[mid]) / 2.0;
 }
 
 // One synthetic page history with live matcher content: tables evolving
@@ -101,6 +117,7 @@ struct ModeResult {
   double fault_us = 0.0;           // mean cold Load() of a dirty context
   uint64_t chain_bytes = 0;        // frame bytes a dirty fault replays
   uint32_t delta_depth = 0;
+  double save_commit_ms = 0.0;     // median single-context Save()
 };
 
 Status RunMode(core::PageState& base, core::PageState& dirty,
@@ -141,6 +158,17 @@ Status RunMode(core::PageState& base, core::PageState& dirty,
       out->chain_bytes = info->chain_bytes;
       out->delta_depth = info->delta_depth;
     }
+
+    // One committed save at a time, on contexts the checkpoint left clean.
+    std::vector<double> saves;
+    for (size_t i = 0; i < kSaveCommitProbes && i + dirty_count < contexts;
+         ++i) {
+      dirty.title = TitleOf(contexts - 1 - i);
+      start = std::chrono::steady_clock::now();
+      SOMR_RETURN_IF_ERROR(store.Save(dirty));
+      saves.push_back(MillisSince(start));
+    }
+    out->save_commit_ms = Median(std::move(saves));
   }
 
   namespace fs = std::filesystem;
@@ -171,7 +199,7 @@ double BytesReduction(const ModeResult& full, const ModeResult& delta) {
 }
 
 void PrintReport(size_t contexts, size_t dirty, const ModeResult& full,
-                 const ModeResult& delta) {
+                 const ModeResult& delta, const ModeResult& small) {
   std::printf("checkpoint of %zu dirty contexts out of %zu resident\n\n",
               dirty, contexts);
   std::printf("%22s %14s %14s\n", "", "full-every-save", "delta-chain");
@@ -192,14 +220,21 @@ void PrintReport(size_t contexts, size_t dirty, const ModeResult& full,
               static_cast<unsigned long long>(delta.chain_bytes));
   std::printf("%22s %14u %14u\n", "delta depth", full.delta_depth,
               delta.delta_depth);
+  std::printf("%22s %14.2f %14.2f\n", "save+commit ms",
+              full.save_commit_ms, delta.save_commit_ms);
   std::printf("\nbytes written per checkpoint: %.1fx fewer with deltas\n",
               BytesReduction(full, delta));
+  std::printf("one committed Save: %.2f ms on %zu contexts, %.2f ms on %zu "
+              "(delta chains, median of %zu)\n",
+              small.save_commit_ms, kSmallStore, delta.save_commit_ms,
+              contexts, kSaveCommitProbes);
 }
 
 std::string StateIoJson(size_t contexts, size_t dirty,
-                        const ModeResult& full, const ModeResult& delta) {
+                        const ModeResult& full, const ModeResult& delta,
+                        const ModeResult& small) {
   std::ostringstream out;
-  char buf[96];
+  char buf[160];
   out << "\"state_io\": {\n";
   std::snprintf(buf, sizeof buf,
                 "      \"contexts\": %zu, \"dirty\": %zu,\n", contexts,
@@ -220,8 +255,14 @@ std::string StateIoJson(size_t contexts, size_t dirty,
                 "      \"full_fault_us\": %.1f, \"delta_fault_us\": %.1f,\n",
                 full.fault_us, delta.fault_us);
   out << buf;
-  std::snprintf(buf, sizeof buf, "      \"bytes_reduction\": %.1f\n    }",
+  std::snprintf(buf, sizeof buf, "      \"bytes_reduction\": %.1f,\n",
                 BytesReduction(full, delta));
+  out << buf;
+  std::snprintf(buf, sizeof buf,
+                "      \"save_commit_ms\": {\"contexts_%zu\": %.3f, "
+                "\"contexts_%zu\": %.3f}\n    }",
+                kSmallStore, small.save_commit_ms, contexts,
+                delta.save_commit_ms);
   out << buf;
   return out.str();
 }
@@ -325,21 +366,26 @@ int main(int argc, char** argv) {
   core::PageState base = BuildTemplate(page, kBaseRevisions);
   core::PageState next = BuildTemplate(page, kBaseRevisions + 1);
 
-  ModeResult full, delta;
+  ModeResult full, delta, small;
   Status status =
       RunMode(base, next, contexts, dirty, /*cadence=*/1, &full);
   if (status.ok()) {
     status = RunMode(base, next, contexts, dirty, /*cadence=*/64, &delta);
+  }
+  if (status.ok()) {
+    status = RunMode(base, next, kSmallStore, /*dirty_count=*/0,
+                     /*cadence=*/64, &small);
   }
   if (!status.ok()) {
     std::fprintf(stderr, "bench_state_io: %s\n", status.ToString().c_str());
     return 1;
   }
 
-  PrintReport(contexts, dirty, full, delta);
+  PrintReport(contexts, dirty, full, delta, small);
   if (json &&
       WriteJsonReport(json_path,
-                      StateIoJson(contexts, dirty, full, delta)) != 0) {
+                      StateIoJson(contexts, dirty, full, delta, small)) !=
+          0) {
     return 1;
   }
   if (BytesReduction(full, delta) < kAcceptanceRatio) {

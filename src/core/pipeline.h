@@ -39,12 +39,12 @@ class Pipeline {
   explicit Pipeline(matching::MatcherConfig config) : config_(config) {}
 
   /// Processes a full dump read into memory with xmldump::ReadDump, which
-  /// also accepts a dump truncated mid-page. The pages go through the dump
-  /// driver (core/dump_driver.h): on the executor attached via
-  /// set_executor when there is one, else on a local pool of
-  /// `num_threads` workers when that is > 1, else one after another on
-  /// the calling thread. Results keep dump order and are bit-identical at
-  /// any thread count.
+  /// rejects a dump truncated mid-page, as ProcessDumpStream does. The
+  /// pages go through the dump driver (core/dump_driver.h): on the
+  /// executor attached via set_executor when there is one, else on a
+  /// local pool of `num_threads` workers when that is > 1, else one after
+  /// another on the calling thread. Results keep dump order and are
+  /// bit-identical at any thread count.
   StatusOr<std::vector<PageResult>> ProcessDumpXml(
       std::string_view xml, unsigned num_threads = 1) const;
 

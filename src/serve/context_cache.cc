@@ -65,9 +65,9 @@ Status ContextCache::EvictToCapacity() {
 
 Status ContextCache::CheckpointAll() {
   // Batch commit: append every dirty context's record first (cheap
-  // sequential writes), then pay the fsync + index/manifest rewrite
-  // once. Entries stay dirty until the Commit lands — a failure at any
-  // point leaves them flagged for the next checkpoint.
+  // sequential writes), then pay the commit's fsyncs once. Entries stay
+  // dirty until the Commit lands — a failure at any point leaves them
+  // flagged for the next checkpoint.
   bool appended = false;
   for (Entry& entry : lru_) {
     if (!entry.dirty) continue;

@@ -14,9 +14,10 @@ namespace somr::serve {
 /// entry is a live core::PageState (matcher, rear-view windows, graphs,
 /// extracted history) keyed by context id (= page title). A context that
 /// falls out of the LRU is spilled: saved to the ContextStore when dirty
-/// (snapshot + manifest row), then dropped from memory; the next request
-/// for it faults the snapshot back in. Capacity therefore bounds resident
-/// memory regardless of how many contexts the store holds.
+/// (a committed Save, so it is durable before it leaves memory), then
+/// dropped from memory; the next request for it faults the snapshot back
+/// in. Capacity therefore bounds resident memory regardless of how many
+/// contexts the store holds.
 ///
 /// Not thread-safe by design: every shard worker owns one cache and is
 /// the only thread touching it (the server serializes a context's
@@ -49,9 +50,9 @@ class ContextCache {
 
   /// Saves every dirty resident context (they stay resident and become
   /// clean). Appends all records first and commits the store once, so a
-  /// checkpoint pays one fsync + index rewrite regardless of how many
-  /// contexts are dirty. The graceful-shutdown and /admin/checkpoint
-  /// path; on failure every entry stays dirty for the next attempt.
+  /// checkpoint pays one commit's fsyncs regardless of how many contexts
+  /// are dirty. The graceful-shutdown and /admin/checkpoint path; on
+  /// failure every entry stays dirty for the next attempt.
   Status CheckpointAll();
 
   size_t resident() const { return entries_.size(); }

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string_view>
 #include <utility>
 
@@ -90,66 +89,67 @@ ContextStore::ContextStore(std::string dir, matching::MatcherConfig config,
       options_(options),
       log_(dir_, RecordLog::Options{options.shard_count,
                                     options.compact_ratio,
-                                    options.compact_min_bytes}) {
+                                    options.compact_min_bytes}),
+      manifest_((fs::path(dir_) / kManifestName).string()) {
   if (options_.full_snapshot_every == 0) options_.full_snapshot_every = 1;
 }
 
 ContextStore::~ContextStore() { WaitForCompactions(); }
 
 Status ContextStore::Open(bool create) {
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   std::lock_guard<std::mutex> lock(mu_);
   pages_.clear();
   watermarks_.clear();
+  unwritten_.clear();
+  manifest_stats_ = {};
   open_ = false;
-  manifest_dirty_ = false;
 
-  std::error_code ec;
-  const std::string manifest_path =
-      (fs::path(dir_) / kManifestName).string();
-  if (!fs::exists(manifest_path, ec)) {
+  IndexFile::Contents manifest;
+  Status loaded = manifest_.Load(&manifest);
+  if (loaded.code() == StatusCode::kNotFound) {
     if (!create) {
       return Status::NotFound("no context store at " + dir_ +
                               " (missing " + kManifestName + ")");
     }
+    std::error_code ec;
     fs::create_directories(dir_, ec);
     if (ec) {
       return Status::Internal("cannot create state dir " + dir_ + ": " +
                               ec.message());
     }
     SOMR_RETURN_IF_ERROR(log_.Open(/*create=*/true));
+    SOMR_RETURN_IF_ERROR(manifest_.Rewrite(ManifestHeader(), ""));
+    manifest_stats_ = manifest_.stats();
     open_ = true;
-    return WriteManifestLocked();
+    return Status::OK();
   }
+  SOMR_RETURN_IF_ERROR(loaded);
 
-  std::ifstream in(manifest_path);
-  if (!in) return Status::Internal("cannot read " + manifest_path);
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::ParseError(manifest_path + ": not a context-store "
-                              "manifest");
-  }
+  const std::string& header = manifest.header();
   for (const RetiredManifest& retired : kRetiredManifests) {
-    if (line.rfind(retired.header, 0) == 0) {
+    if (header.rfind(retired.header, 0) == 0) {
       return Status::InvalidArgument(
           "context store at " + dir_ + " " + retired.reason +
           "; re-ingest its dumps into a fresh store to migrate (see "
           "DESIGN.md §15)");
     }
   }
-  if (line.rfind(kManifestHeader, 0) != 0) {
-    return Status::ParseError(manifest_path + ": not a context-store "
-                              "manifest");
+  if (header.rfind(kManifestHeader, 0) != 0) {
+    return Status::ParseError(manifest_.path() +
+                              ": not a context-store manifest");
   }
   // Header carries the fingerprint: "# somr-context-store v4 config=<hex>".
   const std::string marker = "config=";
-  size_t at = line.find(marker);
+  size_t at = header.find(marker);
   if (at == std::string::npos) {
-    return Status::ParseError(manifest_path + ": missing config fingerprint");
+    return Status::ParseError(manifest_.path() +
+                              ": missing config fingerprint");
   }
   uint64_t stored = 0;
-  if (std::sscanf(line.c_str() + at + marker.size(), "%llx",
+  if (std::sscanf(header.c_str() + at + marker.size(), "%llx",
                   reinterpret_cast<unsigned long long*>(&stored)) != 1) {
-    return Status::ParseError(manifest_path + ": bad config fingerprint");
+    return Status::ParseError(manifest_.path() + ": bad config fingerprint");
   }
   if (stored != fingerprint_) {
     return Status::InvalidArgument(
@@ -159,15 +159,12 @@ Status ContextStore::Open(bool create) {
 
   SOMR_RETURN_IF_ERROR(log_.Open(/*create=*/false));
 
-  size_t line_number = 1;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty() || line[0] == '#') continue;
-    std::vector<std::string_view> fields = SplitString(line, '\t');
+  // Replay: a block's row for a page replaces the page's earlier row.
+  for (const IndexFile::Row& row : manifest.rows()) {
+    std::vector<std::string_view> fields = SplitString(row.text, '\t');
     if (fields.size() != 5) {
-      return Status::ParseError(manifest_path + ":" +
-                                std::to_string(line_number) +
-                                ": expected 5 tab-separated fields");
+      return manifest.Locate(
+          row, Status::ParseError("expected 5 tab-separated fields"));
     }
     PageInfo info;
     try {
@@ -177,24 +174,23 @@ Status ContextStore::Open(bool create) {
       info.revisions_ingested =
           static_cast<uint32_t>(std::stoul(std::string(fields[3])));
     } catch (const std::exception&) {
-      return Status::ParseError(manifest_path + ":" +
-                                std::to_string(line_number) +
-                                ": non-numeric manifest field");
+      return manifest.Locate(
+          row, Status::ParseError("non-numeric manifest field"));
     }
     info.title = UnescapeKey(fields[4]);
     info.version = 1;
     const size_t depth = log_.ChainDepth(info.title);
     if (depth == 0) {
-      return Status::ParseError(
-          manifest_path + ":" + std::to_string(line_number) +
-          ": manifest row \"" + info.title +
-          "\" has no record chain in the log");
+      return manifest.Locate(
+          row, Status::ParseError("manifest row \"" + info.title +
+                                  "\" has no record chain in the log"));
     }
     info.shard = log_.ShardFor(info.title);
     info.delta_depth = static_cast<uint32_t>(depth - 1);
     info.chain_bytes = log_.ChainBytes(info.title);
     pages_[info.title] = std::move(info);
   }
+  manifest_stats_ = manifest_.stats();
   open_ = true;
   return Status::OK();
 }
@@ -300,25 +296,21 @@ Status ContextStore::SaveInternal(const core::PageState& state, bool commit) {
   }
   SOMR_RETURN_IF_ERROR(record.status());
 
-  StatusOr<RecordRef> ref = log_.Append(
-      state.title, as_delta ? RecordKind::kDelta : RecordKind::kFull,
-      *record);
-  SOMR_RETURN_IF_ERROR(ref.status());
-
-  const SnapshotMetrics& metrics = GetSnapshotMetrics();
-  metrics.saves->Increment();
-  (as_delta ? metrics.delta_records : metrics.full_records)->Increment();
-  metrics.snapshot_bytes->Observe(static_cast<double>(record->size()));
-
   PageInfo info;
   info.title = state.title;
   info.page_id = state.page_id;
   info.last_revision_id = state.last_revision_id;
   info.last_timestamp = state.last_timestamp;
   info.revisions_ingested = state.revisions_ingested;
-  info.shard = ref->shard;
-
   {
+    // The append and the manifest entry land together, between commits,
+    // so a commit covers every page it writes a manifest row for.
+    std::lock_guard<std::mutex> write_lock(write_mu_);
+    StatusOr<RecordRef> ref = log_.Append(
+        state.title, as_delta ? RecordKind::kDelta : RecordKind::kFull,
+        *record);
+    SOMR_RETURN_IF_ERROR(ref.status());
+    info.shard = ref->shard;
     std::lock_guard<std::mutex> lock(mu_);
     const size_t depth = log_.ChainDepth(state.title);
     info.delta_depth = depth == 0 ? 0 : static_cast<uint32_t>(depth - 1);
@@ -327,8 +319,13 @@ Status ContextStore::SaveInternal(const core::PageState& state, bool commit) {
     info.version = it == pages_.end() ? 1 : it->second.version + 1;
     pages_[info.title] = std::move(info);
     watermarks_[state.title] = CaptureWatermark(state);
-    manifest_dirty_ = true;
+    unwritten_.insert(state.title);
   }
+
+  const SnapshotMetrics& metrics = GetSnapshotMetrics();
+  metrics.saves->Increment();
+  (as_delta ? metrics.delta_records : metrics.full_records)->Increment();
+  metrics.snapshot_bytes->Observe(static_cast<double>(record->size()));
   return commit ? CommitInternal() : Status::OK();
 }
 
@@ -341,51 +338,76 @@ Status ContextStore::Commit() {
 }
 
 Status ContextStore::CommitInternal() {
-  // Records first, then the manifest: a crash in between leaves chains
-  // that are a superset of the manifest (invisible but harmless), never
-  // manifest rows pointing at missing records.
-  SOMR_RETURN_IF_ERROR(log_.Commit());
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (manifest_dirty_) {
-      SOMR_RETURN_IF_ERROR(WriteManifestLocked());
-      manifest_dirty_ = false;
+    std::lock_guard<std::mutex> write_lock(write_mu_);
+    // Records first, then the manifest: a crash in between leaves chains
+    // that are a superset of the manifest (invisible but harmless), never
+    // manifest rows pointing at missing records. Holding write_mu_ keeps
+    // saves out until both are durable, so a commit that returns covers
+    // every save that came before it.
+    SOMR_RETURN_IF_ERROR(log_.Commit());
+    // The block: the rows of the pages saved since the last commit.
+    std::string block, base;
+    bool rewrite = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      std::vector<const PageInfo*> rows;
+      rows.reserve(unwritten_.size());
+      for (const std::string& title : unwritten_) {
+        rows.push_back(&pages_.at(title));
+      }
+      block = RenderManifestRowsLocked(std::move(rows));
+      rewrite = manifest_.RewriteDue(block);
+      if (rewrite) {
+        rows.clear();
+        rows.reserve(pages_.size());
+        for (const auto& [title, info] : pages_) rows.push_back(&info);
+        base = RenderManifestRowsLocked(std::move(rows));
+      }
     }
+    Status written = Status::OK();
+    if (rewrite) {
+      written = manifest_.Rewrite(ManifestHeader(), base);
+    } else if (!block.empty()) {
+      written = manifest_.Append(block);
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    manifest_stats_ = manifest_.stats();
+    SOMR_RETURN_IF_ERROR(written);
+    unwritten_.clear();
   }
   ScheduleCompactions();
   return Status::OK();
 }
 
-Status ContextStore::WriteManifestLocked() {
-  std::string content = kManifestHeader;
+std::string ContextStore::ManifestHeader() const {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(fingerprint_));
-  content += " config=";
-  content += buf;
-  content += "\n";
-  std::vector<const PageInfo*> rows;
-  rows.reserve(pages_.size());
-  for (const auto& [title, info] : pages_) rows.push_back(&info);
+  return std::string(kManifestHeader) + " config=" + buf;
+}
+
+std::string ContextStore::RenderManifestRowsLocked(
+    std::vector<const PageInfo*> rows) const {
   std::sort(rows.begin(), rows.end(),
             [](const PageInfo* a, const PageInfo* b) {
               return a->title < b->title;
             });
+  std::string out;
   for (const PageInfo* row : rows) {
     const PageInfo& info = *row;
-    content += std::to_string(info.page_id);
-    content += '\t';
-    content += std::to_string(info.last_revision_id);
-    content += '\t';
-    content += std::to_string(info.last_timestamp);
-    content += '\t';
-    content += std::to_string(info.revisions_ingested);
-    content += '\t';
-    content += EscapeKey(info.title);
-    content += '\n';
+    out += std::to_string(info.page_id);
+    out += '\t';
+    out += std::to_string(info.last_revision_id);
+    out += '\t';
+    out += std::to_string(info.last_timestamp);
+    out += '\t';
+    out += std::to_string(info.revisions_ingested);
+    out += '\t';
+    out += EscapeKey(info.title);
+    out += '\n';
   }
-  return AtomicWriteDurable((fs::path(dir_) / kManifestName).string(),
-                            content);
+  return out;
 }
 
 Status ContextStore::CompactNow() {
@@ -447,6 +469,7 @@ void ContextStore::set_executor(parallel::Executor* executor) {
 ContextStore::StoreStats ContextStore::Stats() const {
   StoreStats stats;
   stats.shards = log_.Shards();
+  stats.index = log_.IndexStats();
   for (const ShardStats& shard : stats.shards) {
     stats.size_bytes += shard.size_bytes;
     stats.live_bytes += shard.live_bytes;
@@ -454,6 +477,7 @@ ContextStore::StoreStats ContextStore::Stats() const {
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
+    stats.manifest = manifest_stats_;
     stats.contexts = pages_.size();
     for (const auto& [title, info] : pages_) {
       stats.max_delta_depth =
@@ -480,6 +504,12 @@ std::string ContextStore::StatsJson() const {
          std::to_string(stats.max_delta_depth);
   out += ", \"pending_compactions\": " +
          std::to_string(stats.pending_compactions);
+  out += ", \"index\": {\"base_bytes\": " +
+         std::to_string(stats.index.base_bytes) + ", \"block_bytes\": " +
+         std::to_string(stats.index.block_bytes) + "}";
+  out += ", \"manifest\": {\"base_bytes\": " +
+         std::to_string(stats.manifest.base_bytes) + ", \"block_bytes\": " +
+         std::to_string(stats.manifest.block_bytes) + "}";
   out += ", \"shards\": [";
   for (size_t i = 0; i < stats.shards.size(); ++i) {
     const ShardStats& s = stats.shards[i];

@@ -6,12 +6,14 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/time_util.h"
 #include "matching/matcher.h"
+#include "state/index_file.h"
 #include "state/record_log.h"
 #include "state/snapshot.h"
 
@@ -31,16 +33,18 @@ namespace somr::state {
 ///
 /// `manifest.tsv` carries only page metadata (ids, revision
 /// bookkeeping, titles) plus the store-wide config fingerprint; record
-/// placement lives in the log's own index. Both are rewritten
-/// atomically (write temp, fsync, rename, fsync dir) by Commit().
+/// placement lives in the log's own index, `records.idx`. Both are
+/// IndexFiles: a base plus one appended, checksummed block per commit,
+/// holding only the rows that changed, and rewritten whole when their
+/// blocks outgrow their base (see IndexFile).
 ///
-/// Durability: Save() commits immediately. Batch writers (checkpoint
-/// fan-outs, dump ingest) should call SaveUncommitted() per page and
-/// one Commit() at the end — appends are cheap sequential writes, and
-/// the O(pages) index/manifest rewrite plus fsyncs happen once per
-/// checkpoint instead of once per page. Appends that were never
-/// committed are dropped by crash recovery (the previous committed
-/// chain stays loadable).
+/// Durability: Save() commits immediately, at a cost of O(what changed):
+/// the record append, then one block to each index file, each
+/// fdatasynced. Batch writers (checkpoint fan-outs, dump ingest) should
+/// call SaveUncommitted() per page and one Commit() at the end, which
+/// pays the fsyncs once per checkpoint instead of once per page. Appends
+/// that were never committed are dropped by crash recovery (the
+/// previous committed chain stays loadable).
 ///
 /// Compaction: when a shard accumulates superseded bytes past the
 /// configured ratio and floor, Commit() schedules a compaction — on
@@ -91,6 +95,8 @@ class ContextStore {
   /// Aggregate store shape for status/debug/flight-recorder reporting.
   struct StoreStats {
     std::vector<ShardStats> shards;
+    IndexFileStats index;     // records.idx
+    IndexFileStats manifest;  // manifest.tsv
     uint64_t contexts = 0;
     uint64_t size_bytes = 0;
     uint64_t live_bytes = 0;
@@ -134,9 +140,11 @@ class ContextStore {
   /// Cheap (sequential write, no fsync); not durable until Commit().
   Status SaveUncommitted(const core::PageState& state);
 
-  /// The durability point: fsyncs dirty record shards, atomically
-  /// rewrites the log index and the manifest, then kicks off any due
-  /// shard compactions.
+  /// The durability point: fdatasyncs dirty record shards, then appends
+  /// one block to the log index and one to the manifest (the chains and
+  /// rows of the pages saved since the last commit), each fdatasynced,
+  /// index first; then kicks off any due shard compactions. Returns only
+  /// when every save before it is durable.
   Status Commit();
 
   /// Runs every due compaction inline and returns when the store is
@@ -159,8 +167,11 @@ class ContextStore {
 
  private:
   Status SaveInternal(const core::PageState& state, bool commit);
-  Status WriteManifestLocked() SOMR_REQUIRES(mu_);
   Status CommitInternal();
+  std::string ManifestHeader() const;
+  /// Manifest rows for `rows`, sorted by title.
+  std::string RenderManifestRowsLocked(std::vector<const PageInfo*> rows)
+      const SOMR_REQUIRES(mu_);
   void ScheduleCompactions();
   void WaitForCompactions();
 
@@ -173,6 +184,13 @@ class ContextStore {
   // Internally synchronized (every RecordLog method takes its own lock).
   RecordLog log_ SOMR_NOT_GUARDED;
 
+  /// Serializes a save's append with commits: a commit holds it from the
+  /// log commit through the manifest block, so its manifest rows never
+  /// get ahead of the log index, and a commit that returns covers every
+  /// save before it. Taken before mu_.
+  std::mutex write_mu_;
+  IndexFile manifest_ SOMR_GUARDED_BY(write_mu_);
+
   mutable std::mutex mu_;
   /// The manifest index: title -> PageInfo, hash-keyed so Lookup() and
   /// Contains() are O(1). Manifest writes sort rows by title, keeping
@@ -183,8 +201,13 @@ class ContextStore {
   /// without one (cold since Open) gets a full snapshot first.
   mutable std::unordered_map<std::string, SnapshotWatermark> watermarks_
       SOMR_GUARDED_BY(mu_);
+  /// Pages saved since the last commit: the rows of the next manifest
+  /// block.
+  std::unordered_set<std::string> unwritten_ SOMR_GUARDED_BY(mu_);
+  /// manifest_'s shape as of its last write, so Stats() need not wait
+  /// for a commit.
+  IndexFileStats manifest_stats_ SOMR_GUARDED_BY(mu_);
   bool open_ SOMR_GUARDED_BY(mu_) = false;
-  bool manifest_dirty_ SOMR_GUARDED_BY(mu_) = false;
 
   mutable std::mutex compaction_mu_;
   std::condition_variable compaction_cv_;

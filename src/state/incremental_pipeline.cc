@@ -11,9 +11,9 @@ namespace somr::state {
 namespace {
 
 /// Ingest is the per-page step between a load (or a fresh state) and a
-/// save. `commit` false leaves the store's index/manifest rewrite and
-/// fsyncs to one ContextStore::Commit by the caller, so per-page appends
-/// stay sequential writes.
+/// save. `commit` false leaves the store's commit and its fsyncs to one
+/// ContextStore::Commit by the caller, so per-page appends stay
+/// sequential writes.
 StatusOr<core::IngestReport> IngestInto(ContextStore& store,
                                         const xmldump::PageHistory& page,
                                         obs::ProvenanceSink* provenance,

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
@@ -17,6 +16,7 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "state/file_io.h"
 #include "state/serde.h"
 
 namespace somr::state {
@@ -31,6 +31,7 @@ struct RecordLogMetrics {
   obs::Counter* compactions;
   obs::Counter* reclaimed_bytes;
   obs::Counter* tail_recovered_bytes;
+  obs::Counter* index_rewrites;
 };
 
 const RecordLogMetrics& GetRecordLogMetrics() {
@@ -50,6 +51,10 @@ const RecordLogMetrics& GetRecordLogMetrics() {
     m.tail_recovered_bytes = reg.GetCounter(
         "somr_recordlog_tail_recovered_bytes_total",
         "Uncommitted/torn shard tail bytes dropped during recovery");
+    m.index_rewrites = reg.GetCounter(
+        "somr_recordlog_index_rewrites_total",
+        "Whole rewrites of records.idx (create, compaction swap, blocks "
+        "outgrowing the base)");
     return m;
   }();
   return metrics;
@@ -108,38 +113,22 @@ uint64_t DecodeFrame(std::string_view data, uint64_t at, std::string* key,
   return frame_len;
 }
 
-Status PReadExact(int fd, uint64_t offset, uint64_t length,
-                  std::string* out) {
-  out->resize(static_cast<size_t>(length));
-  uint64_t done = 0;
-  while (done < length) {
-    ssize_t n = ::pread(fd, out->data() + done,
-                        static_cast<size_t>(length - done),
-                        static_cast<off_t>(offset + done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(std::string("pread failed: ") +
-                              std::strerror(errno));
-    }
-    if (n == 0) return Status::Internal("pread hit EOF mid-record");
-    done += static_cast<uint64_t>(n);
+void AppendChainRow(const std::string& key,
+                    const std::vector<RecordRef>& chain, std::string* out) {
+  *out += "C\t";
+  *out += std::to_string(chain.front().shard);
+  *out += '\t';
+  for (size_t i = 0; i < chain.size(); ++i) {
+    if (i > 0) *out += ',';
+    *out += std::to_string(chain[i].offset);
+    *out += ':';
+    *out += std::to_string(chain[i].length);
+    *out += ':';
+    *out += std::to_string(static_cast<unsigned>(chain[i].kind));
   }
-  return Status::OK();
-}
-
-Status PWriteAll(int fd, uint64_t offset, std::string_view data) {
-  uint64_t done = 0;
-  while (done < data.size()) {
-    ssize_t n = ::pwrite(fd, data.data() + done, data.size() - done,
-                         static_cast<off_t>(offset + done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(std::string("pwrite failed: ") +
-                              std::strerror(errno));
-    }
-    done += static_cast<uint64_t>(n);
-  }
-  return Status::OK();
+  *out += '\t';
+  *out += EscapeKey(key);
+  *out += '\n';
 }
 
 /// Releases a shard's `compacting` flag on scope exit.
@@ -158,80 +147,10 @@ class CompactionClaim {
 
 }  // namespace
 
-Status AtomicWriteDurable(const std::string& path,
-                          std::string_view content) {
-  const std::string tmp = path + ".tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Status::Internal("cannot create " + tmp);
-  Status status = PWriteAll(fd, 0, content);
-  if (status.ok() && ::fsync(fd) != 0) {
-    status = Status::Internal("fsync failed for " + tmp);
-  }
-  ::close(fd);
-  if (!status.ok()) {
-    std::remove(tmp.c_str());
-    return status;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("rename failed for " + path);
-  }
-  // fsync the directory so the rename itself survives a crash.
-  const std::string dir = fs::path(path).parent_path().string();
-  int dfd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
-  return Status::OK();
-}
-
-std::string EscapeKey(std::string_view key) {
-  std::string out;
-  out.reserve(key.size());
-  for (char c : key) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string UnescapeKey(std::string_view escaped) {
-  std::string out;
-  out.reserve(escaped.size());
-  for (size_t i = 0; i < escaped.size(); ++i) {
-    if (escaped[i] == '\\' && i + 1 < escaped.size()) {
-      ++i;
-      switch (escaped[i]) {
-        case 't':
-          out.push_back('\t');
-          break;
-        case 'n':
-          out.push_back('\n');
-          break;
-        default:
-          out.push_back(escaped[i]);
-      }
-    } else {
-      out.push_back(escaped[i]);
-    }
-  }
-  return out;
-}
-
 RecordLog::RecordLog(std::string dir, Options options)
-    : dir_(std::move(dir)), options_(options) {
+    : dir_(std::move(dir)),
+      options_(options),
+      index_((fs::path(dir_) / kIndexName).string()) {
   if (options_.shard_count == 0) options_.shard_count = 1;
   if (options_.compact_ratio <= 0.0) options_.compact_ratio = 0.5;
 }
@@ -249,10 +168,6 @@ std::string RecordLog::ShardPath(uint32_t shard,
   std::snprintf(buf, sizeof(buf), "records-%04u-g%06llu.rec", shard,
                 static_cast<unsigned long long>(generation));
   return (fs::path(dir_) / buf).string();
-}
-
-std::string RecordLog::IndexPath() const {
-  return (fs::path(dir_) / kIndexName).string();
 }
 
 Status RecordLog::OpenShardFile(uint32_t shard, bool truncate) {
@@ -297,173 +212,153 @@ Status RecordLog::RecoverTailLocked(uint32_t shard) {
                  << tail_len << " uncommitted tail bytes ("
                  << complete_frames << " complete frames, " << torn
                  << " torn bytes)";
-  if (::ftruncate(s.fd, static_cast<off_t>(s.durable_size)) != 0) {
-    return Status::Internal("ftruncate failed for shard " +
-                            std::to_string(shard));
-  }
+  SOMR_RETURN_IF_ERROR(TruncateFile(s.fd, s.durable_size,
+                                    "shard " + std::to_string(shard)));
   s.size = s.durable_size;
   s.tail_recovered = tail_len;
   GetRecordLogMetrics().tail_recovered_bytes->Increment(tail_len);
   return Status::OK();
 }
 
-Status RecordLog::LoadIndexLocked(const std::string& content) {
-  const std::string path = IndexPath();
-  size_t line_number = 0;
-  size_t pos = 0;
-  bool have_header = false;
-  while (pos <= content.size()) {
-    size_t eol = content.find('\n', pos);
-    if (eol == std::string::npos) eol = content.size();
-    std::string_view line(content.data() + pos, eol - pos);
-    pos = eol + 1;
-    ++line_number;
-    if (line.empty()) {
-      if (pos > content.size()) break;
-      continue;
+Status RecordLog::ApplyIndexRowLocked(const IndexFile::Row& row) {
+  const std::string_view line = row.text;
+  std::vector<std::string_view> fields = SplitString(line, '\t');
+  if (line[0] == 'S') {
+    if (fields.size() != 6) {
+      return Status::ParseError("shard row needs 6 fields");
     }
-    const std::string where = path + ":" + std::to_string(line_number);
-    if (!have_header) {
-      if (line.rfind(kIndexHeader, 0) != 0) {
-        return Status::ParseError(where + ": not a record-log index");
-      }
-      const std::string marker = "shards=";
-      size_t at = line.find(marker);
-      unsigned shard_count = 0;
-      if (at == std::string::npos ||
-          std::sscanf(std::string(line.substr(at + marker.size())).c_str(),
-                      "%u", &shard_count) != 1 ||
-          shard_count == 0) {
-        return Status::ParseError(where + ": bad shard count");
-      }
-      shards_.clear();
-      for (unsigned i = 0; i < shard_count; ++i) {
-        shards_.push_back(std::make_unique<Shard>());
-      }
-      have_header = true;
-      continue;
+    unsigned shard = 0;
+    unsigned long long generation = 0, durable = 0, compactions = 0;
+    long long last_compaction = 0;
+    if (std::sscanf(std::string(fields[1]).c_str(), "%u", &shard) != 1 ||
+        shard >= shards_.size() ||
+        std::sscanf(std::string(fields[2]).c_str(), "%llu", &generation) !=
+            1 ||
+        generation == 0 ||
+        std::sscanf(std::string(fields[3]).c_str(), "%llu", &durable) != 1 ||
+        std::sscanf(std::string(fields[4]).c_str(), "%llu", &compactions) !=
+            1 ||
+        std::sscanf(std::string(fields[5]).c_str(), "%lld",
+                    &last_compaction) != 1) {
+      return Status::ParseError("bad shard row");
     }
-    if (line[0] == '#') continue;
-    std::vector<std::string_view> fields = SplitString(line, '\t');
-    if (line[0] == 'S') {
-      if (fields.size() != 6) {
-        return Status::ParseError(where + ": shard row needs 6 fields");
-      }
-      unsigned shard = 0;
-      unsigned long long generation = 0, durable = 0, compactions = 0;
-      long long last_compaction = 0;
-      if (std::sscanf(std::string(fields[1]).c_str(), "%u", &shard) != 1 ||
-          shard >= shards_.size() ||
-          std::sscanf(std::string(fields[2]).c_str(), "%llu",
-                      &generation) != 1 ||
-          generation == 0 ||
-          std::sscanf(std::string(fields[3]).c_str(), "%llu", &durable) !=
-              1 ||
-          std::sscanf(std::string(fields[4]).c_str(), "%llu",
-                      &compactions) != 1 ||
-          std::sscanf(std::string(fields[5]).c_str(), "%lld",
-                      &last_compaction) != 1) {
-        return Status::ParseError(where + ": bad shard row");
-      }
-      Shard& s = *shards_[shard];
-      s.generation = generation;
-      s.durable_size = durable;
-      s.compactions = compactions;
-      s.last_compaction_unix = last_compaction;
-    } else if (line[0] == 'C') {
-      if (fields.size() != 4) {
-        return Status::ParseError(where + ": chain row needs 4 fields");
-      }
-      unsigned shard = 0;
-      if (std::sscanf(std::string(fields[1]).c_str(), "%u", &shard) != 1 ||
-          shard >= shards_.size()) {
-        return Status::ParseError(where + ": bad chain shard");
-      }
-      std::vector<RecordRef> chain;
-      for (std::string_view part : SplitString(fields[2], ',')) {
-        unsigned long long offset = 0, length = 0;
-        unsigned kind = 0;
-        if (std::sscanf(std::string(part).c_str(), "%llu:%llu:%u", &offset,
-                        &length, &kind) != 3 ||
-            (kind != static_cast<unsigned>(RecordKind::kFull) &&
-             kind != static_cast<unsigned>(RecordKind::kDelta))) {
-          return Status::ParseError(where + ": bad chain ref \"" +
-                                    std::string(part) + "\"");
-        }
-        RecordRef ref;
-        ref.shard = shard;
-        ref.offset = offset;
-        ref.length = length;
-        ref.kind = static_cast<RecordKind>(kind);
-        chain.push_back(ref);
-      }
-      if (chain.empty() || chain.front().kind != RecordKind::kFull) {
-        return Status::ParseError(where +
-                                  ": chain must start with a full record");
-      }
-      for (const RecordRef& ref : chain) {
-        if (ref.offset + ref.length > shards_[shard]->durable_size) {
-          return Status::ParseError(where +
-                                    ": chain ref beyond committed bytes");
-        }
-        shards_[shard]->live_bytes += ref.length;
-      }
-      const std::string key = UnescapeKey(fields[3]);
-      if (!chains_.emplace(key, std::move(chain)).second) {
-        return Status::ParseError(where + ": duplicate chain key");
-      }
-    } else {
-      return Status::ParseError(where + ": unknown row type");
-    }
+    Shard& s = *shards_[shard];
+    s.generation = generation;
+    s.durable_size = durable;
+    s.compactions = compactions;
+    s.last_compaction_unix = last_compaction;
+    return Status::OK();
   }
-  if (!have_header) {
-    return Status::ParseError(path + ": empty record-log index");
+  if (line[0] != 'C') return Status::ParseError("unknown row type");
+  if (fields.size() != 4) {
+    return Status::ParseError("chain row needs 4 fields");
+  }
+  unsigned shard = 0;
+  if (std::sscanf(std::string(fields[1]).c_str(), "%u", &shard) != 1 ||
+      shard >= shards_.size()) {
+    return Status::ParseError("bad chain shard");
+  }
+  std::vector<RecordRef> chain;
+  for (std::string_view part : SplitString(fields[2], ',')) {
+    unsigned long long offset = 0, length = 0;
+    unsigned kind = 0;
+    if (std::sscanf(std::string(part).c_str(), "%llu:%llu:%u", &offset,
+                    &length, &kind) != 3 ||
+        (kind != static_cast<unsigned>(RecordKind::kFull) &&
+         kind != static_cast<unsigned>(RecordKind::kDelta))) {
+      return Status::ParseError("bad chain ref \"" + std::string(part) +
+                                "\"");
+    }
+    RecordRef ref;
+    ref.shard = shard;
+    ref.offset = offset;
+    ref.length = length;
+    ref.kind = static_cast<RecordKind>(kind);
+    chain.push_back(ref);
+  }
+  if (chain.empty() || chain.front().kind != RecordKind::kFull) {
+    return Status::ParseError("chain must start with a full record");
+  }
+  std::string key = UnescapeKey(fields[3]);
+  if (row.in_block) {
+    chains_[std::move(key)] = std::move(chain);
+  } else if (!chains_.emplace(std::move(key), std::move(chain)).second) {
+    return Status::ParseError("duplicate chain key");
   }
   return Status::OK();
 }
 
-std::string RecordLog::RenderIndexLocked() const {
-  std::string out = kIndexHeader;
-  out += " shards=";
-  out += std::to_string(shards_.size());
-  out += "\n";
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const Shard& s = *shards_[i];
-    out += "S\t";
-    out += std::to_string(i);
-    out += '\t';
-    out += std::to_string(s.generation);
-    out += '\t';
-    out += std::to_string(s.size);  // durable after the commit fsyncs
-    out += '\t';
-    out += std::to_string(s.compactions);
-    out += '\t';
-    out += std::to_string(s.last_compaction_unix);
-    out += '\n';
+Status RecordLog::LoadIndexLocked(const IndexFile::Contents& contents) {
+  const std::string& header = contents.header();
+  if (header.rfind(kIndexHeader, 0) != 0) {
+    return Status::ParseError(index_.path() + ":1: not a record-log index");
   }
+  const std::string marker = "shards=";
+  const size_t at = header.find(marker);
+  unsigned shard_count = 0;
+  if (at == std::string::npos ||
+      std::sscanf(header.c_str() + at + marker.size(), "%u",
+                  &shard_count) != 1 ||
+      shard_count == 0) {
+    return Status::ParseError(index_.path() + ":1: bad shard count");
+  }
+  for (unsigned i = 0; i < shard_count; ++i) {
+    shards_.push_back(std::make_unique<Shard>());
+  }
+  // Replay: a block's shard and chain rows replace the rows for the same
+  // shard or key that came before them.
+  for (const IndexFile::Row& row : contents.rows()) {
+    Status status = ApplyIndexRowLocked(row);
+    if (!status.ok()) return contents.Locate(row, status);
+  }
+  // Every final chain must lie in its shard's committed bytes; what they
+  // cover is the shard's live bytes.
+  for (const auto& [key, chain] : chains_) {
+    for (const RecordRef& ref : chain) {
+      Shard& s = *shards_[ref.shard];
+      if (ref.length > s.durable_size ||
+          ref.offset > s.durable_size - ref.length) {
+        return Status::ParseError(index_.path() + ": chain of \"" + key +
+                                  "\" refers past the committed bytes of "
+                                  "shard " +
+                                  std::to_string(ref.shard));
+      }
+      s.live_bytes += ref.length;
+    }
+  }
+  return Status::OK();
+}
+
+std::string RecordLog::IndexHeaderLocked() const {
+  return std::string(kIndexHeader) + " shards=" +
+         std::to_string(shards_.size());
+}
+
+void RecordLog::RenderShardRowLocked(size_t shard, std::string* out) const {
+  const Shard& s = *shards_[shard];
+  *out += "S\t";
+  *out += std::to_string(shard);
+  *out += '\t';
+  *out += std::to_string(s.generation);
+  *out += '\t';
+  *out += std::to_string(s.size);  // durable after the commit fsyncs
+  *out += '\t';
+  *out += std::to_string(s.compactions);
+  *out += '\t';
+  *out += std::to_string(s.last_compaction_unix);
+  *out += '\n';
+}
+
+std::string RecordLog::RenderIndexLocked() const {
+  std::string out;
+  for (size_t i = 0; i < shards_.size(); ++i) RenderShardRowLocked(i, &out);
   std::vector<const std::pair<const std::string, std::vector<RecordRef>>*>
       rows;
   rows.reserve(chains_.size());
   for (const auto& entry : chains_) rows.push_back(&entry);
   std::sort(rows.begin(), rows.end(),
             [](const auto* a, const auto* b) { return a->first < b->first; });
-  for (const auto* row : rows) {
-    const std::vector<RecordRef>& chain = row->second;
-    out += "C\t";
-    out += std::to_string(chain.front().shard);
-    out += '\t';
-    for (size_t i = 0; i < chain.size(); ++i) {
-      if (i > 0) out += ',';
-      out += std::to_string(chain[i].offset);
-      out += ':';
-      out += std::to_string(chain[i].length);
-      out += ':';
-      out += std::to_string(static_cast<unsigned>(chain[i].kind));
-    }
-    out += '\t';
-    out += EscapeKey(row->first);
-    out += '\n';
-  }
+  for (const auto* row : rows) AppendChainRow(row->first, row->second, &out);
   return out;
 }
 
@@ -497,15 +392,17 @@ Status RecordLog::Open(bool create) {
   }
   shards_.clear();
   chains_.clear();
+  pending_keys_.clear();
   open_ = false;
 
-  std::error_code ec;
-  const std::string index_path = IndexPath();
-  if (!fs::exists(index_path, ec)) {
+  IndexFile::Contents contents;
+  Status loaded = index_.Load(&contents);
+  if (loaded.code() == StatusCode::kNotFound) {
     if (!create) {
       return Status::NotFound("no record log at " + dir_ + " (missing " +
                               kIndexName + ")");
     }
+    std::error_code ec;
     fs::create_directories(dir_, ec);
     if (ec) {
       return Status::Internal("cannot create record-log dir " + dir_ +
@@ -521,12 +418,11 @@ Status RecordLog::Open(bool create) {
       SOMR_RETURN_IF_ERROR(OpenShardFile(i, /*truncate=*/true));
     }
     open_ = true;
+    index_.RequireRewrite();
     return CommitLocked();
   }
-
-  StatusOr<std::string> content = ReadFileToString(index_path);
-  if (!content.ok()) return content.status();
-  SOMR_RETURN_IF_ERROR(LoadIndexLocked(*content));
+  SOMR_RETURN_IF_ERROR(loaded);
+  SOMR_RETURN_IF_ERROR(LoadIndexLocked(contents));
   for (uint32_t i = 0; i < shards_.size(); ++i) {
     SOMR_RETURN_IF_ERROR(OpenShardFile(i, /*truncate=*/false));
     SOMR_RETURN_IF_ERROR(RecoverTailLocked(i));
@@ -569,6 +465,7 @@ StatusOr<RecordRef> RecordLog::Append(const std::string& key,
   s.live_bytes += frame.size();
   GetRecordLogMetrics().appended_bytes->Increment(frame.size());
 
+  pending_keys_.insert(key);
   std::vector<RecordRef>& chain = chains_[key];
   if (start_chain) {
     for (const RecordRef& old : chain) {
@@ -635,16 +532,33 @@ uint64_t RecordLog::ChainBytes(const std::string& key) const {
 
 Status RecordLog::CommitLocked() {
   SOMR_TRACE_SCOPE_CAT("state", "state/record_commit");
+  // The block: every shard that moved, then the whole chain of every key
+  // appended since the last commit. Shard rows come first so a replayed
+  // chain never refers past its shard's committed size.
+  std::string block;
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& s = *shards_[i];
     if (s.size == s.durable_size) continue;
-    if (::fdatasync(s.fd) != 0) {
-      return Status::Internal("fdatasync failed for shard " +
-                              std::to_string(i));
-    }
+    SOMR_RETURN_IF_ERROR(SyncData(s.fd, "shard " + std::to_string(i)));
+    RenderShardRowLocked(i, &block);
   }
-  SOMR_RETURN_IF_ERROR(AtomicWriteDurable(IndexPath(), RenderIndexLocked()));
+  std::vector<const std::string*> keys;
+  keys.reserve(pending_keys_.size());
+  for (const std::string& key : pending_keys_) keys.push_back(&key);
+  std::sort(keys.begin(), keys.end(),
+            [](const std::string* a, const std::string* b) { return *a < *b; });
+  for (const std::string* key : keys) {
+    AppendChainRow(*key, chains_.at(*key), &block);
+  }
+  if (index_.RewriteDue(block)) {
+    SOMR_RETURN_IF_ERROR(
+        index_.Rewrite(IndexHeaderLocked(), RenderIndexLocked()));
+    GetRecordLogMetrics().index_rewrites->Increment();
+  } else if (!block.empty()) {
+    SOMR_RETURN_IF_ERROR(index_.Append(block));
+  }
   for (auto& shard : shards_) shard->durable_size = shard->size;
+  pending_keys_.clear();
   GetRecordLogMetrics().commits->Increment();
   return Status::OK();
 }
@@ -769,17 +683,18 @@ StatusOr<bool> RecordLog::Compact(uint32_t shard) {
         ref.offset = it->second;
       }
     }
-    if (::fdatasync(new_fd) != 0) {
+    Status synced = SyncData(new_fd, new_path);
+    if (!synced.ok()) {
       ::close(new_fd);
       std::remove(new_path.c_str());
-      return Status::Internal("fdatasync failed for " + new_path);
+      return synced;
     }
     reclaimed = current_size - out_offset;
     ::close(s->fd);
     s->fd = new_fd;
     s->generation = old_generation + 1;
     s->size = out_offset;
-    s->durable_size = 0;  // forces the commit below to re-render it
+    s->durable_size = 0;  // nothing of the new generation is indexed yet
     uint64_t live_bytes = 0;
     for (const auto& [key, chain] : chains_) {
       for (const RecordRef& ref : chain) {
@@ -789,9 +704,12 @@ StatusOr<bool> RecordLog::Compact(uint32_t shard) {
     s->live_bytes = live_bytes;
     ++s->compactions;
     s->last_compaction_unix = static_cast<int64_t>(std::time(nullptr));
-    // Persist the new generation before dropping the old one. On
+    // Persist the new generation before dropping the old one: every
+    // chain of the shard moved, so the index is rewritten whole. On
     // failure the old file stays on disk and the durable index keeps
-    // referencing it; the next successful Open cleans the orphan.
+    // referencing it (the rewrite stays due for the next commit); the
+    // next successful Open cleans the orphan.
+    index_.RequireRewrite();
     SOMR_RETURN_IF_ERROR(CommitLocked());
   }
   std::remove(old_path.c_str());
@@ -824,6 +742,11 @@ std::vector<ShardStats> RecordLog::Shards() const {
     out.push_back(stats);
   }
   return out;
+}
+
+IndexFileStats RecordLog::IndexStats() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  return index_.stats();
 }
 
 uint32_t RecordLog::shard_count() const {

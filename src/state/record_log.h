@@ -8,10 +8,12 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "state/index_file.h"
 
 namespace somr::state {
 
@@ -51,17 +53,6 @@ struct ShardStats {
   uint64_t tail_recovered_bytes = 0;  // torn/orphan tail dropped at Open
 };
 
-/// Writes `content` to `path` with full durability: temp file in the
-/// same directory, write, fsync, rename over the target, fsync the
-/// directory. A crash at any point leaves either the old or the new
-/// complete content, never a torn mix.
-Status AtomicWriteDurable(const std::string& path, std::string_view content);
-
-/// Escapes tabs/newlines/backslashes so arbitrary keys survive a line-
-/// and tab-delimited index file; UnescapeKey inverts it.
-std::string EscapeKey(std::string_view key);
-std::string UnescapeKey(std::string_view escaped);
-
 /// Sharded append-only record log: the byte store under ContextStore.
 ///
 /// Records are length-prefixed, FNV-1a64-checksummed frames appended
@@ -69,10 +60,16 @@ std::string UnescapeKey(std::string_view escaped);
 /// shard). An in-memory chain index maps key -> ordered record refs
 /// (one full record, then deltas), so a cold fault is O(chain) preads
 /// with no directory scan. The index is made durable by Commit(),
-/// which fdatasyncs every dirty shard and then atomically rewrites
-/// `records.idx`; bytes appended after the last Commit are recovered
-/// or dropped at Open() by a checksum scan of each shard's tail
-/// (torn final records are skipped, never fatal).
+/// which fdatasyncs every dirty shard and then appends one block to
+/// `records.idx` (an IndexFile): the sizes of the shards that moved and
+/// the whole chain of every key appended since the last commit, so a
+/// commit costs what changed, not what the store holds. Open() replays
+/// the index's base and blocks (a later chain row for a key replaces an
+/// earlier one) and recomputes each shard's live bytes from the final
+/// chains. The index is rewritten whole at creation, after a compaction
+/// swap, and when its blocks outgrow its base. Bytes appended after the
+/// last Commit are recovered or dropped at Open() by a checksum scan of
+/// each shard's tail (torn final records are skipped, never fatal).
 ///
 /// Shard files are generation-named (`records-SSSS-gGGGGGG.rec`):
 /// compaction writes live records into generation g+1, commits an
@@ -130,7 +127,8 @@ class RecordLog {
   uint32_t ShardFor(const std::string& key) const;
 
   /// Makes every append so far durable: fdatasync dirty shard files,
-  /// then atomically rewrite the index.
+  /// then append one index block (or rewrite the index, per the
+  /// IndexFile rule) and fdatasync it.
   Status Commit();
 
   /// Shards whose superseded bytes exceed both the ratio and the floor.
@@ -144,6 +142,8 @@ class RecordLog {
   StatusOr<bool> Compact(uint32_t shard);
 
   std::vector<ShardStats> Shards() const;
+  /// Base and block bytes of `records.idx`.
+  IndexFileStats IndexStats() const;
   uint32_t shard_count() const;
   const std::string& dir() const { return dir_; }
   const Options& options() const { return options_; }
@@ -158,15 +158,18 @@ class RecordLog {
     uint64_t compactions = 0;
     int64_t last_compaction_unix = 0;
     uint64_t tail_recovered = 0;
-    bool dirty = false;  // has appends since the last fdatasync
     std::atomic_flag compacting = ATOMIC_FLAG_INIT;
   };
 
   std::string ShardPath(uint32_t shard, uint64_t generation) const;
-  std::string IndexPath() const;
   Status OpenShardFile(uint32_t shard, bool truncate) SOMR_REQUIRES(mu_);
   Status RecoverTailLocked(uint32_t shard) SOMR_REQUIRES(mu_);
-  Status LoadIndexLocked(const std::string& content) SOMR_REQUIRES(mu_);
+  Status ApplyIndexRowLocked(const IndexFile::Row& row) SOMR_REQUIRES(mu_);
+  Status LoadIndexLocked(const IndexFile::Contents& contents)
+      SOMR_REQUIRES(mu_);
+  std::string IndexHeaderLocked() const SOMR_REQUIRES(mu_);
+  void RenderShardRowLocked(size_t shard, std::string* out) const
+      SOMR_REQUIRES(mu_);
   std::string RenderIndexLocked() const SOMR_REQUIRES(mu_);
   Status CommitLocked() SOMR_REQUIRES(mu_);
   void RemoveStaleGenerationsLocked() SOMR_REQUIRES(mu_);
@@ -179,6 +182,10 @@ class RecordLog {
   std::vector<std::unique_ptr<Shard>> shards_ SOMR_GUARDED_BY(mu_);
   std::unordered_map<std::string, std::vector<RecordRef>> chains_
       SOMR_GUARDED_BY(mu_);
+  /// Keys appended since the last commit: the chain rows of the next
+  /// index block.
+  std::unordered_set<std::string> pending_keys_ SOMR_GUARDED_BY(mu_);
+  IndexFile index_ SOMR_GUARDED_BY(mu_);
   bool open_ SOMR_GUARDED_BY(mu_) = false;
 };
 

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "html/entities.h"
 #include "xmldump/xml_reader.h"
@@ -56,30 +57,30 @@ Revision ReadRevision(XmlReader& reader) {
   return rev;
 }
 
-PageHistory ReadPage(XmlReader& reader) {
-  PageHistory page;
+/// Reads the children of one <page> element into `page`. Returns false
+/// when the document ends before the page's </page>.
+bool ReadPage(XmlReader& reader, PageHistory* page) {
   bool saw_page_id = false;
   while (true) {
     XmlEvent e = reader.Next();
-    if (e.type == XmlEventType::kEndDocument) break;
-    if (e.type == XmlEventType::kEndElement && e.name == "page") break;
+    if (e.type == XmlEventType::kEndDocument) return false;
+    if (e.type == XmlEventType::kEndElement && e.name == "page") return true;
     if (e.type != XmlEventType::kStartElement) continue;
     if (e.name == "title") {
-      page.title = reader.ReadElementText();
+      page->title = reader.ReadElementText();
     } else if (e.name == "ns") {
-      page.ns = static_cast<int>(ParseInt(reader.ReadElementText()));
+      page->ns = static_cast<int>(ParseInt(reader.ReadElementText()));
     } else if (e.name == "id" && !saw_page_id) {
       // The first <id> under <page> is the page id; revision ids are
       // nested inside <revision>.
-      page.page_id = ParseInt(reader.ReadElementText());
+      page->page_id = ParseInt(reader.ReadElementText());
       saw_page_id = true;
     } else if (e.name == "revision") {
-      page.revisions.push_back(ReadRevision(reader));
+      page->revisions.push_back(ReadRevision(reader));
     } else {
       reader.SkipElement();
     }
   }
-  return page;
 }
 
 }  // namespace
@@ -97,7 +98,11 @@ StatusOr<Dump> ReadDump(std::string_view xml) {
     } else if (e.name == "sitename") {
       dump.site_name = reader.ReadElementText();
     } else if (e.name == "page") {
-      dump.pages.push_back(ReadPage(reader));
+      PageHistory page;
+      if (!ReadPage(reader, &page)) {
+        return Status::ParseError("unterminated <page> element");
+      }
+      dump.pages.push_back(std::move(page));
     } else if (e.name != "siteinfo") {
       reader.SkipElement();
     }

@@ -36,8 +36,9 @@ struct Dump {
 };
 
 /// Parses a MediaWiki XML export. Unknown elements are skipped; pages
-/// without revisions are kept (empty history). Returns ParseError only for
-/// structurally hopeless input (no <mediawiki> root).
+/// without revisions are kept (empty history). Returns ParseError for
+/// structurally hopeless input: no <mediawiki> root, or a document that
+/// ends inside a <page> (the error PageStreamReader gives the same bytes).
 StatusOr<Dump> ReadDump(std::string_view xml);
 
 /// Serializes a dump back to MediaWiki XML export format.

@@ -77,6 +77,26 @@ TEST_F(ContextCacheTest, EvictionSpillsDirtyStateAndFaultsItBack) {
   EXPECT_EQ(cache.stats().faults, 1u);
 }
 
+// A spill is a committed save: the spilled context is durable before it
+// leaves memory, with no checkpoint, so a second store opened on the same
+// directory (as after a crash) loads it with its mutation.
+TEST_F(ContextCacheTest, SpillIsDurableWithoutCheckpoint) {
+  ContextCache cache(store_.get(), 1);
+  StatusOr<core::PageState*> a = cache.GetOrLoad("A", true);
+  ASSERT_TRUE(a.ok());
+  (*a)->last_revision_id = 42;
+  cache.MarkDirty("A");
+  ASSERT_TRUE(cache.GetOrLoad("B", true).ok());  // spills A
+  ASSERT_EQ(cache.stats().spills, 1u);
+
+  state::ContextStore reopened(dir_);
+  ASSERT_TRUE(reopened.Open(/*create=*/false).ok());
+  StatusOr<core::PageState> loaded = reopened.Load("A");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->last_revision_id, 42);
+  EXPECT_FALSE(reopened.Contains("B"));  // resident, never spilled
+}
+
 TEST_F(ContextCacheTest, FreshContextSurvivesEvictionWithoutMark) {
   ContextCache cache(store_.get(), 1);
   // Never marked dirty, but never snapshotted either: eviction must

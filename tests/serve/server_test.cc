@@ -581,5 +581,37 @@ TEST_F(ServerTest, IngestRejectsMismatchedTitleAndMultiPageBodies) {
   EXPECT_EQ(multi.status, 400);
 }
 
+TEST_F(ServerTest, TruncatedBodyIs400AndLeavesContextUntouched) {
+  OpenStore(/*create=*/true);
+  StartServer(8);
+
+  const xmldump::PageHistory page = TestDump().pages[0];
+  const std::string target =
+      "/context/" + PercentEncode(page.title) + "/revision";
+  xmldump::PageHistory half = page;
+  half.revisions.resize(half.revisions.size() / 2);
+  ASSERT_EQ(Post(target, PageXml(half)).status, 200);
+  const std::string graph_target =
+      "/context/" + PercentEncode(page.title) + "/graph";
+  const ClientResponse before = Get(graph_target);
+  ASSERT_EQ(before.status, 200);
+
+  // The full history cut three bytes into its last revision's text: the
+  // body ends inside the <page>, so none of it may be ingested.
+  const std::string xml = PageXml(page);
+  const size_t text = xml.rfind("<text");
+  ASSERT_NE(text, std::string::npos);
+  const size_t cut = xml.find('>', text) + 4;
+  const ClientResponse truncated = Post(target, xml.substr(0, cut));
+  EXPECT_EQ(truncated.status, 400) << truncated.body;
+  EXPECT_NE(truncated.body.find("unterminated <page> element"),
+            std::string::npos)
+      << truncated.body;
+
+  const ClientResponse after = Get(graph_target);
+  ASSERT_EQ(after.status, 200);
+  EXPECT_EQ(after.body, before.body);
+}
+
 }  // namespace
 }  // namespace somr::serve

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "extract/wikitext_extractor.h"
+#include "obs/metrics.h"
 #include "wikigen/corpus.h"
 #include "xmldump/dump.h"
 
@@ -438,6 +439,47 @@ TEST_F(ContextStoreTest, StatsJsonHasStoreShape) {
   EXPECT_NE(json.find("\"superseded_bytes\""), std::string::npos);
   EXPECT_NE(json.find("\"pending_compactions\""), std::string::npos);
   EXPECT_NE(json.find("\"shards\""), std::string::npos);
+}
+
+// A one-page commit appends a block to each index file instead of
+// rewriting it, and the store reports both files' base and block bytes.
+TEST_F(ContextStoreTest, CommitAppendsBlocksAndStatsReportThem) {
+  namespace fs = std::filesystem;
+  ContextStore store(dir_);
+  ASSERT_TRUE(store.Open(/*create=*/true).ok());
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(
+        store.SaveUncommitted(MakeState("Page " + std::to_string(i), 1)).ok());
+  }
+  ASSERT_TRUE(store.Commit().ok());
+  const obs::Counter* rewrites = obs::MetricsRegistry::Global().GetCounter(
+      "somr_recordlog_index_rewrites_total", "");
+  const uint64_t rewrites_before = rewrites->Value();
+  const uint64_t index_before = fs::file_size(dir_ + "/records.idx");
+  ASSERT_TRUE(store.Save(MakeState("Page 3", 2)).ok());
+  EXPECT_EQ(rewrites->Value(), rewrites_before);
+  EXPECT_GT(fs::file_size(dir_ + "/records.idx"), index_before);
+
+  const ContextStore::StoreStats stats = store.Stats();
+  EXPECT_GT(stats.index.block_bytes, 0u);
+  EXPECT_GT(stats.manifest.block_bytes, 0u);
+  EXPECT_EQ(stats.index.base_bytes + stats.index.block_bytes,
+            fs::file_size(dir_ + "/records.idx"));
+  EXPECT_EQ(stats.manifest.base_bytes + stats.manifest.block_bytes,
+            fs::file_size(dir_ + "/manifest.tsv"));
+  const std::string json = store.StatsJson();
+  EXPECT_NE(json.find("\"index\": {\"base_bytes\": " +
+                      std::to_string(stats.index.base_bytes) +
+                      ", \"block_bytes\": " +
+                      std::to_string(stats.index.block_bytes) + "}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"manifest\": {\"base_bytes\": " +
+                      std::to_string(stats.manifest.base_bytes) +
+                      ", \"block_bytes\": " +
+                      std::to_string(stats.manifest.block_bytes) + "}"),
+            std::string::npos)
+      << json;
 }
 
 // Satellite of the concurrency story: one thread faulting contexts in

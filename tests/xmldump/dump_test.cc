@@ -134,6 +134,34 @@ TEST(DumpTest, WikitextSpecialCharactersSurvive) {
 }
 
 
+TEST(DumpTest, DumpEndingInsideAPageIsError) {
+  Dump dump = MakeSampleDump();
+  PageHistory second;
+  second.title = "Second";
+  second.page_id = 13;
+  Revision rev;
+  rev.id = 200;
+  rev.text = "hello";
+  second.revisions.push_back(rev);
+  dump.pages.push_back(second);
+  const std::string xml = WriteDump(dump);
+  const size_t open = xml.find("<page>", xml.find("</page>"));
+  const size_t close = xml.find("</page>", open);
+  ASSERT_NE(close, std::string::npos);
+  // Every cut from just past the second <page> to just before the end of
+  // its </page>, including one inside the revision text ("hel").
+  for (size_t cut = open + 6; cut < close + 7; ++cut) {
+    auto parsed = ReadDump(std::string_view(xml).substr(0, cut));
+    ASSERT_FALSE(parsed.ok()) << "cut at " << cut;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(parsed.status().message(), "unterminated <page> element");
+  }
+  auto whole = ReadDump(std::string_view(xml).substr(0, close + 7));
+  ASSERT_TRUE(whole.ok());
+  ASSERT_EQ(whole->pages.size(), 2u);
+  EXPECT_EQ(whole->pages[1].revisions[0].text, "hello");
+}
+
 TEST(DumpTest, StreamingWriterMatchesWriteDump) {
   Dump dump = MakeSampleDump();
   std::ostringstream streamed;
