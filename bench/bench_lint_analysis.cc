@@ -9,15 +9,14 @@
 //   bench_lint_analysis --json [path]  # merge into BENCH_matching.json
 //                                      #   as ns_per_op.lint_analysis
 
-#include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "lint/lint.h"
+#include "report.h"
 
 namespace {
 
@@ -65,77 +64,6 @@ std::string LintAnalysisJson(const RunResult& r) {
   return out.str();
 }
 
-/// Index of the brace matching the '{' at `open` (npos if unbalanced).
-size_t MatchBrace(const std::string& text, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < text.size(); ++i) {
-    if (text[i] == '{') ++depth;
-    if (text[i] == '}' && --depth == 0) return i;
-  }
-  return std::string::npos;
-}
-
-/// Merges the section into BENCH_matching.json inside the existing
-/// "ns_per_op" object (replacing a previous "lint_analysis" entry), or
-/// writes a fresh file when the report does not exist yet.
-int WriteJsonReport(const std::string& path, const RunResult& r) {
-  std::string existing;
-  {
-    std::ifstream in(path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    existing = buf.str();
-  }
-
-  // Drop a stale lint_analysis block (and the comma that bound it).
-  const size_t stale = existing.find("\"lint_analysis\"");
-  if (stale != std::string::npos) {
-    const size_t open = existing.find('{', stale);
-    const size_t close =
-        open == std::string::npos ? std::string::npos
-                                  : MatchBrace(existing, open);
-    if (close == std::string::npos) {
-      std::fprintf(stderr, "unparseable lint_analysis block in %s\n",
-                   path.c_str());
-      return 1;
-    }
-    size_t from = stale;
-    while (from > 0 &&
-           (std::isspace(static_cast<unsigned char>(existing[from - 1])) ||
-            existing[from - 1] == ',')) {
-      --from;
-      if (existing[from] == ',') break;
-    }
-    existing.erase(from, close + 1 - from);
-  }
-
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  const size_t section = existing.find("\"ns_per_op\"");
-  const size_t open = section == std::string::npos
-                          ? std::string::npos
-                          : existing.find('{', section);
-  const size_t close =
-      open == std::string::npos ? std::string::npos
-                                : MatchBrace(existing, open);
-  if (close == std::string::npos) {
-    out << "{\n  \"ns_per_op\": {\n    " << LintAnalysisJson(r)
-        << "\n  }\n}\n";
-  } else {
-    size_t last = close;
-    while (last > open + 1 &&
-           std::isspace(static_cast<unsigned char>(existing[last - 1]))) {
-      --last;
-    }
-    out << existing.substr(0, last) << ",\n    " << LintAnalysisJson(r)
-        << "\n  }" << existing.substr(close + 1);
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -153,7 +81,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--json") {
       std::string path = i + 1 < argc ? argv[i + 1] : "BENCH_matching.json";
-      return WriteJsonReport(path, r);
+      return somr::bench::MergeSection(path, "ns_per_op",
+                                       LintAnalysisJson(r))
+                 ? 0
+                 : 1;
     }
   }
   return 0;

@@ -11,10 +11,8 @@
 //   bench_parallel_scaling --json [path]  # merge into BENCH_matching.json
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -23,6 +21,7 @@
 
 #include "core/pipeline.h"
 #include "parallel/executor.h"
+#include "report.h"
 #include "wikigen/corpus.h"
 
 namespace {
@@ -147,42 +146,6 @@ std::string ScalingJson(const ScalingReport& report) {
   return out.str();
 }
 
-// Merges the section into an existing BENCH_matching.json (replacing a
-// previous "parallel_scaling" entry) or writes a fresh file.
-int WriteJsonReport(const std::string& path, const ScalingReport& report) {
-  std::string existing;
-  {
-    std::ifstream in(path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    existing = buf.str();
-  }
-  const size_t prior = existing.find("\"parallel_scaling\"");
-  if (prior != std::string::npos) {
-    const size_t comma = existing.rfind(',', prior);
-    existing.resize(comma == std::string::npos ? 0 : comma);
-  } else {
-    const size_t brace = existing.rfind('}');
-    existing.resize(brace == std::string::npos ? 0 : brace);
-  }
-  while (!existing.empty() &&
-         std::isspace(static_cast<unsigned char>(existing.back()))) {
-    existing.pop_back();
-  }
-
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  if (existing.empty()) {
-    out << "{\n  " << ScalingJson(report) << "\n}\n";
-  } else {
-    out << existing << ",\n  " << ScalingJson(report) << "\n}\n";
-  }
-  return 0;
-}
-
 void PrintReport(const ScalingReport& report) {
   std::printf("hardware threads: %u\n", report.hardware_concurrency);
   std::printf("per-page (%zu pages):\n", report.pages);
@@ -220,7 +183,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--json") {
       std::string path = i + 1 < argc ? argv[i + 1] : "BENCH_matching.json";
-      return WriteJsonReport(path, report);
+      return bench::MergeSection(path, "", ScalingJson(report)) ? 0 : 1;
     }
   }
   PrintReport(report);

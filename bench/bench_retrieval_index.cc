@@ -20,11 +20,9 @@
 //                                        #   as ns_per_op.candidate_gen
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,6 +30,7 @@
 #include "common/rng.h"
 #include "extract/object.h"
 #include "matching/matcher.h"
+#include "report.h"
 
 namespace {
 
@@ -201,78 +200,6 @@ std::string CandidateGenJson(const std::vector<SweepRow>& rows) {
   return out.str();
 }
 
-/// Index of the brace matching the '{' at `open` (npos if unbalanced).
-size_t MatchBrace(const std::string& text, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < text.size(); ++i) {
-    if (text[i] == '{') ++depth;
-    if (text[i] == '}' && --depth == 0) return i;
-  }
-  return std::string::npos;
-}
-
-/// Merges the section into BENCH_matching.json inside the existing
-/// "ns_per_op" object (replacing a previous "candidate_gen" entry), or
-/// writes a fresh file when the report does not exist yet.
-int WriteJsonReport(const std::string& path,
-                    const std::vector<SweepRow>& rows) {
-  std::string existing;
-  {
-    std::ifstream in(path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    existing = buf.str();
-  }
-
-  // Drop a stale candidate_gen block (and the comma that bound it).
-  const size_t stale = existing.find("\"candidate_gen\"");
-  if (stale != std::string::npos) {
-    const size_t open = existing.find('{', stale);
-    const size_t close =
-        open == std::string::npos ? std::string::npos
-                                  : MatchBrace(existing, open);
-    if (close == std::string::npos) {
-      std::fprintf(stderr, "unparseable candidate_gen block in %s\n",
-                   path.c_str());
-      return 1;
-    }
-    size_t from = stale;
-    while (from > 0 &&
-           (std::isspace(static_cast<unsigned char>(existing[from - 1])) ||
-            existing[from - 1] == ',')) {
-      --from;
-      if (existing[from] == ',') break;
-    }
-    existing.erase(from, close + 1 - from);
-  }
-
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  const size_t section = existing.find("\"ns_per_op\"");
-  const size_t open = section == std::string::npos
-                          ? std::string::npos
-                          : existing.find('{', section);
-  const size_t close =
-      open == std::string::npos ? std::string::npos
-                                : MatchBrace(existing, open);
-  if (close == std::string::npos) {
-    out << "{\n  \"ns_per_op\": {\n    " << CandidateGenJson(rows)
-        << "\n  }\n}\n";
-  } else {
-    size_t last = close;
-    while (last > open + 1 &&
-           std::isspace(static_cast<unsigned char>(existing[last - 1]))) {
-      --last;
-    }
-    out << existing.substr(0, last) << ",\n    " << CandidateGenJson(rows)
-        << "\n  }" << existing.substr(close + 1);
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -281,7 +208,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--json") {
       std::string path = i + 1 < argc ? argv[i + 1] : "BENCH_matching.json";
-      if (WriteJsonReport(path, rows) != 0) return 1;
+      if (!bench::MergeSection(path, "ns_per_op", CandidateGenJson(rows))) {
+        return 1;
+      }
     }
   }
   return passed ? 0 : 1;

@@ -8,8 +8,8 @@
 // >= 5x fewer bytes written at 1000 dirty contexts of 100000.
 //
 // Bytes counted are record-shard appends (the payload the delta path
-// optimises). The index/manifest bytes on disk are identical in both
-// modes and reported separately.
+// optimises). The index bytes on disk are identical in both modes and
+// reported separately.
 //
 // save_commit_ms is the median of kSaveCommitProbes single-context
 // Save() calls, each a committed save as a serve spill is, on a
@@ -24,19 +24,18 @@
 // Exits non-zero when the bytes-written reduction misses the bar.
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "extract/wikitext_extractor.h"
+#include "report.h"
 #include "state/context_store.h"
 #include "wikigen/corpus.h"
 #include "xmldump/dump.h"
@@ -113,7 +112,7 @@ struct ModeResult {
   double populate_ms = 0.0;
   double checkpoint_ms = 0.0;      // dirty saves + the one Commit()
   uint64_t record_bytes = 0;       // shard bytes appended by the checkpoint
-  uint64_t index_bytes = 0;        // records.idx + manifest.tsv size
+  uint64_t index_bytes = 0;        // records.idx size
   double fault_us = 0.0;           // mean cold Load() of a dirty context
   uint64_t chain_bytes = 0;        // frame bytes a dirty fault replays
   uint32_t delta_depth = 0;
@@ -174,7 +173,6 @@ Status RunMode(core::PageState& base, core::PageState& dirty,
   namespace fs = std::filesystem;
   std::error_code ec;
   out->index_bytes = fs::file_size(dir + "/records.idx", ec);
-  out->index_bytes += fs::file_size(dir + "/manifest.tsv", ec);
 
   // Cold fault: a fresh store replays dirty chains straight off disk.
   state::ContextStore reopened(dir, {}, options);
@@ -210,7 +208,7 @@ void PrintReport(size_t contexts, size_t dirty, const ModeResult& full,
   std::printf("%22s %14llu %14llu\n", "record bytes",
               static_cast<unsigned long long>(full.record_bytes),
               static_cast<unsigned long long>(delta.record_bytes));
-  std::printf("%22s %14llu %14llu\n", "index+manifest bytes",
+  std::printf("%22s %14llu %14llu\n", "index bytes",
               static_cast<unsigned long long>(full.index_bytes),
               static_cast<unsigned long long>(delta.index_bytes));
   std::printf("%22s %14.1f %14.1f\n", "fault us", full.fault_us,
@@ -267,74 +265,6 @@ std::string StateIoJson(size_t contexts, size_t dirty,
   return out.str();
 }
 
-/// Index of the brace matching the '{' at `open` (npos if unbalanced).
-size_t MatchBrace(const std::string& text, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < text.size(); ++i) {
-    if (text[i] == '{') ++depth;
-    if (text[i] == '}' && --depth == 0) return i;
-  }
-  return std::string::npos;
-}
-
-/// Merges the section into BENCH_matching.json inside the existing
-/// "ns_per_op" object (replacing a previous "state_io" entry), or
-/// writes a fresh file when the report does not exist yet.
-int WriteJsonReport(const std::string& path, const std::string& section) {
-  std::string existing;
-  {
-    std::ifstream in(path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    existing = buf.str();
-  }
-
-  const size_t stale = existing.find("\"state_io\"");
-  if (stale != std::string::npos) {
-    const size_t open = existing.find('{', stale);
-    const size_t close = open == std::string::npos
-                             ? std::string::npos
-                             : MatchBrace(existing, open);
-    if (close == std::string::npos) {
-      std::fprintf(stderr, "unparseable state_io block in %s\n",
-                   path.c_str());
-      return 1;
-    }
-    size_t from = stale;
-    while (from > 0 &&
-           (std::isspace(static_cast<unsigned char>(existing[from - 1])) ||
-            existing[from - 1] == ',')) {
-      --from;
-      if (existing[from] == ',') break;
-    }
-    existing.erase(from, close + 1 - from);
-  }
-
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  const size_t at = existing.find("\"ns_per_op\"");
-  const size_t open =
-      at == std::string::npos ? std::string::npos : existing.find('{', at);
-  const size_t close =
-      open == std::string::npos ? std::string::npos
-                                : MatchBrace(existing, open);
-  if (close == std::string::npos) {
-    out << "{\n  \"ns_per_op\": {\n    " << section << "\n  }\n}\n";
-  } else {
-    size_t last = close;
-    while (last > open + 1 &&
-           std::isspace(static_cast<unsigned char>(existing[last - 1]))) {
-      --last;
-    }
-    out << existing.substr(0, last) << ",\n    " << section << "\n  }"
-        << existing.substr(close + 1);
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -383,9 +313,8 @@ int main(int argc, char** argv) {
 
   PrintReport(contexts, dirty, full, delta, small);
   if (json &&
-      WriteJsonReport(json_path,
-                      StateIoJson(contexts, dirty, full, delta, small)) !=
-          0) {
+      !bench::MergeSection(json_path, "ns_per_op",
+                           StateIoJson(contexts, dirty, full, delta, small))) {
     return 1;
   }
   if (BytesReduction(full, delta) < kAcceptanceRatio) {

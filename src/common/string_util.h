@@ -1,7 +1,9 @@
 #pragma once
 
+#include <charconv>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "common/status.h"
@@ -41,6 +43,20 @@ std::string CollapseWhitespace(std::string_view s);
 
 /// True if `a` equals `b` ignoring ASCII case.
 bool EqualsIgnoreAsciiCase(std::string_view a, std::string_view b);
+
+/// Parses all of `text` as an integer in `base`: false when it is empty,
+/// has bytes after the number, or is out of `Int`'s range.
+template <typename Int>
+bool ParseInteger(std::string_view text, Int* out, int base = 10) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out, base);
+  return ec == std::errc() && ptr == end;
+}
+
+/// `s` escaped for the inside of a JSON string literal: '"', '\\', '\n',
+/// '\r' and '\t' take their two-character escapes, other bytes below
+/// 0x20 become "\u00XX", and every other byte (UTF-8 included) is kept.
+std::string JsonEscape(std::string_view s);
 
 /// Reads a whole file into a string sized up front (seek to end, tell,
 /// one read) — no stringstream double-buffering, so peak memory is the

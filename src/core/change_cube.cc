@@ -1,5 +1,6 @@
 #include "core/change_cube.h"
 
+#include "common/string_util.h"
 #include "core/diff.h"
 
 namespace somr::core {
@@ -45,39 +46,6 @@ std::string CsvEscape(const std::string& value) {
     out.push_back(c);
   }
   out.push_back('"');
-  return out;
-}
-
-std::string JsonEscape(const std::string& value) {
-  std::string out;
-  out.reserve(value.size() + 2);
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
   return out;
 }
 

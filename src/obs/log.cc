@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <mutex>
 
+#include "common/string_util.h"
 #include "common/thread_annotations.h"
 
 #include "obs/trace.h"
@@ -30,37 +31,6 @@ double WallNowSecondsF() {
                  std::chrono::system_clock::now().time_since_epoch())
                  .count()) /
          1000.0;
-}
-
-void JsonAppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
 }
 
 /// Basename only: log lines should not leak build-tree paths.
@@ -161,7 +131,7 @@ LogMessage::~LogMessage() {
                 WallNowSecondsF(), LogLevelName(level_));
   out += buf;
   out += ", \"msg\": \"";
-  JsonAppendEscaped(&out, stream_.str());
+  out += JsonEscape(stream_.str());
   out += "\"";
   const uint64_t trace_id = CurrentTraceId();
   if (trace_id != 0) {

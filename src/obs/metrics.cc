@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "common/string_util.h"
+
 namespace somr::obs {
 
 namespace internal {
@@ -225,19 +227,6 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
-// Most metric names are plain identifiers, but labeled names such as
-// somr_build_info{version="..."} embed quotes that must be escaped when
-// the name becomes a JSON object key.
-std::string JsonEscapeName(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string RenderMetricsText(const MetricsSnapshot& snapshot) {
@@ -283,7 +272,7 @@ std::string RenderMetricsJson(const MetricsSnapshot& snapshot) {
     out += first ? "\n    " : ",\n    ";
     std::snprintf(buf, sizeof(buf), "%" PRIu64, c.value);
     out += '"';
-    out += JsonEscapeName(c.name);
+    out += JsonEscape(c.name);
     out += "\": ";
     out += buf;
     first = false;
@@ -294,7 +283,7 @@ std::string RenderMetricsJson(const MetricsSnapshot& snapshot) {
   for (const auto& g : snapshot.gauges) {
     out += first ? "\n    " : ",\n    ";
     out += '"';
-    out += JsonEscapeName(g.name);
+    out += JsonEscape(g.name);
     out += "\": ";
     out += FormatDouble(g.value);
     first = false;
@@ -305,7 +294,7 @@ std::string RenderMetricsJson(const MetricsSnapshot& snapshot) {
   for (const auto& h : snapshot.histograms) {
     out += first ? "\n    " : ",\n    ";
     out += '"';
-    out += JsonEscapeName(h.name);
+    out += JsonEscape(h.name);
     out += "\": {\"bounds\": [";
     for (size_t b = 0; b < h.bounds.size(); ++b) {
       if (b > 0) out += ", ";

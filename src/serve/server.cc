@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "common/hash.h"
+#include "common/string_util.h"
 #include "common/timer.h"
 #include "core/page_step.h"
 #include "matching/graph_io.h"
@@ -103,40 +104,6 @@ const ServeMetrics& GetServeMetrics() {
     return m;
   }();
   return metrics;
-}
-
-std::string JsonEscape(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 HttpResponse ErrorResponse(int status, const std::string& message) {

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string_view>
 #include <utility>
 
-#include "common/hash.h"
 #include "common/string_util.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -60,12 +59,11 @@ const SnapshotMetrics& GetSnapshotMetrics() {
   return metrics;
 }
 
-constexpr const char* kManifestName = "manifest.tsv";
-// v4: records are snapshot format v5 (see kFormatVersion). Stores
-// written under an older header hold records this build cannot read.
-constexpr const char* kManifestHeader = "# somr-context-store v4";
-// Headers of stores this build cannot read, each with the reason, so an
-// old store is refused for its format and pointed at re-ingesting.
+// Stores written before records.idx carried the page rows kept them in a
+// manifest.tsv beside it. Its header line names the store's format, and
+// so the reason this build cannot read it; every such store is refused
+// and pointed at re-ingesting.
+constexpr const char* kRetiredManifestName = "manifest.tsv";
 struct RetiredManifest {
   const char* header;
   const char* reason;
@@ -77,7 +75,53 @@ constexpr RetiredManifest kRetiredManifests[] = {
      "holds format-v3 snapshot records, which predate format v5"},
     {"# somr-context-store v3",
      "holds format-v4 snapshot records, which predate format v5"},
+    {"# somr-context-store v4",
+     "keeps its page rows in manifest.tsv, which predates the single "
+     "records.idx index"},
 };
+
+Status RefuseRetiredStore(const std::string& dir) {
+  const fs::path path = fs::path(dir) / kRetiredManifestName;
+  std::error_code ec;
+  if (!fs::exists(path, ec)) return Status::OK();
+  std::string header;
+  std::ifstream in(path);
+  std::getline(in, header);
+  const char* reason = "holds a manifest.tsv of an unknown format";
+  for (const RetiredManifest& retired : kRetiredManifests) {
+    if (header.rfind(retired.header, 0) == 0) reason = retired.reason;
+  }
+  return Status::InvalidArgument(
+      "context store at " + dir + " " + reason +
+      "; re-ingest its dumps into a fresh store to migrate (see DESIGN.md "
+      "§15)");
+}
+
+// A page's row in its index entry: "<page id> <last revision id> <last
+// timestamp> <revisions ingested>".
+std::string PageRow(const core::PageState& state) {
+  return std::to_string(state.page_id) + ' ' +
+         std::to_string(state.last_revision_id) + ' ' +
+         std::to_string(state.last_timestamp) + ' ' +
+         std::to_string(state.revisions_ingested);
+}
+
+/// `info` from an index entry; false when the entry's page row is
+/// malformed.
+bool ParsePageEntry(const ChainEntry& entry, ContextStore::PageInfo* info) {
+  const std::vector<std::string_view> fields = SplitString(entry.row, ' ');
+  if (fields.size() != 4 || !ParseInteger(fields[0], &info->page_id) ||
+      !ParseInteger(fields[1], &info->last_revision_id) ||
+      !ParseInteger(fields[2], &info->last_timestamp) ||
+      !ParseInteger(fields[3], &info->revisions_ingested)) {
+    return false;
+  }
+  info->title = entry.key;
+  info->shard = entry.shard;
+  info->delta_depth = entry.depth - 1;
+  info->chain_bytes = entry.bytes;
+  return true;
+}
 
 }  // namespace
 
@@ -85,138 +129,55 @@ ContextStore::ContextStore(std::string dir, matching::MatcherConfig config,
                            StoreOptions options)
     : dir_(std::move(dir)),
       config_(config),
-      fingerprint_(ConfigFingerprint(config)),
       options_(options),
-      log_(dir_, RecordLog::Options{options.shard_count,
-                                    options.compact_ratio,
-                                    options.compact_min_bytes}),
-      manifest_((fs::path(dir_) / kManifestName).string()) {
+      log_(dir_,
+           RecordLog::Options{options.shard_count, options.compact_ratio,
+                              options.compact_min_bytes},
+           ConfigFingerprint(config)) {
   if (options_.full_snapshot_every == 0) options_.full_snapshot_every = 1;
 }
 
 ContextStore::~ContextStore() { WaitForCompactions(); }
 
 Status ContextStore::Open(bool create) {
-  std::lock_guard<std::mutex> write_lock(write_mu_);
   std::lock_guard<std::mutex> lock(mu_);
-  pages_.clear();
   watermarks_.clear();
-  unwritten_.clear();
-  manifest_stats_ = {};
   open_ = false;
-
-  IndexFile::Contents manifest;
-  Status loaded = manifest_.Load(&manifest);
-  if (loaded.code() == StatusCode::kNotFound) {
-    if (!create) {
-      return Status::NotFound("no context store at " + dir_ +
-                              " (missing " + kManifestName + ")");
-    }
-    std::error_code ec;
-    fs::create_directories(dir_, ec);
-    if (ec) {
-      return Status::Internal("cannot create state dir " + dir_ + ": " +
-                              ec.message());
-    }
-    SOMR_RETURN_IF_ERROR(log_.Open(/*create=*/true));
-    SOMR_RETURN_IF_ERROR(manifest_.Rewrite(ManifestHeader(), ""));
-    manifest_stats_ = manifest_.stats();
-    open_ = true;
-    return Status::OK();
-  }
-  SOMR_RETURN_IF_ERROR(loaded);
-
-  const std::string& header = manifest.header();
-  for (const RetiredManifest& retired : kRetiredManifests) {
-    if (header.rfind(retired.header, 0) == 0) {
-      return Status::InvalidArgument(
-          "context store at " + dir_ + " " + retired.reason +
-          "; re-ingest its dumps into a fresh store to migrate (see "
-          "DESIGN.md §15)");
-    }
-  }
-  if (header.rfind(kManifestHeader, 0) != 0) {
-    return Status::ParseError(manifest_.path() +
-                              ": not a context-store manifest");
-  }
-  // Header carries the fingerprint: "# somr-context-store v4 config=<hex>".
-  const std::string marker = "config=";
-  size_t at = header.find(marker);
-  if (at == std::string::npos) {
-    return Status::ParseError(manifest_.path() +
-                              ": missing config fingerprint");
-  }
-  uint64_t stored = 0;
-  if (std::sscanf(header.c_str() + at + marker.size(), "%llx",
-                  reinterpret_cast<unsigned long long*>(&stored)) != 1) {
-    return Status::ParseError(manifest_.path() + ": bad config fingerprint");
-  }
-  if (stored != fingerprint_) {
-    return Status::InvalidArgument(
-        "context store at " + dir_ +
-        " was built under a different MatcherConfig; refusing to resume");
-  }
-
-  SOMR_RETURN_IF_ERROR(log_.Open(/*create=*/false));
-
-  // Replay: a block's row for a page replaces the page's earlier row.
-  for (const IndexFile::Row& row : manifest.rows()) {
-    std::vector<std::string_view> fields = SplitString(row.text, '\t');
-    if (fields.size() != 5) {
-      return manifest.Locate(
-          row, Status::ParseError("expected 5 tab-separated fields"));
-    }
+  SOMR_RETURN_IF_ERROR(RefuseRetiredStore(dir_));
+  SOMR_RETURN_IF_ERROR(log_.Open(create));
+  // Checked once here, so Lookup() and Pages() can trust every row.
+  for (const ChainEntry& entry : log_.Entries()) {
     PageInfo info;
-    try {
-      info.page_id = std::stoll(std::string(fields[0]));
-      info.last_revision_id = std::stoll(std::string(fields[1]));
-      info.last_timestamp = std::stoll(std::string(fields[2]));
-      info.revisions_ingested =
-          static_cast<uint32_t>(std::stoul(std::string(fields[3])));
-    } catch (const std::exception&) {
-      return manifest.Locate(
-          row, Status::ParseError("non-numeric manifest field"));
+    if (!ParsePageEntry(entry, &info)) {
+      return Status::ParseError(dir_ + "/records.idx: page \"" + entry.key +
+                                "\" has a malformed row \"" + entry.row +
+                                "\"");
     }
-    info.title = UnescapeKey(fields[4]);
-    info.version = 1;
-    const size_t depth = log_.ChainDepth(info.title);
-    if (depth == 0) {
-      return manifest.Locate(
-          row, Status::ParseError("manifest row \"" + info.title +
-                                  "\" has no record chain in the log"));
-    }
-    info.shard = log_.ShardFor(info.title);
-    info.delta_depth = static_cast<uint32_t>(depth - 1);
-    info.chain_bytes = log_.ChainBytes(info.title);
-    pages_[info.title] = std::move(info);
   }
-  manifest_stats_ = manifest_.stats();
   open_ = true;
   return Status::OK();
 }
 
 bool ContextStore::Contains(const std::string& title) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pages_.count(title) > 0;
+  return log_.Contains(title);
 }
 
 std::optional<ContextStore::PageInfo> ContextStore::Lookup(
     const std::string& title) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = pages_.find(title);
-  if (it == pages_.end()) return std::nullopt;
-  return it->second;
+  std::optional<ChainEntry> entry = log_.Entry(title);
+  PageInfo info;
+  if (!entry.has_value() || !ParsePageEntry(*entry, &info)) {
+    return std::nullopt;
+  }
+  return info;
 }
 
 std::vector<ContextStore::PageInfo> ContextStore::Pages() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<PageInfo> out;
-  out.reserve(pages_.size());
-  for (const auto& [title, info] : pages_) out.push_back(info);
-  std::sort(out.begin(), out.end(),
-            [](const PageInfo& a, const PageInfo& b) {
-              return a.title < b.title;
-            });
+  for (const ChainEntry& entry : log_.Entries()) {
+    PageInfo info;
+    if (ParsePageEntry(entry, &info)) out.push_back(std::move(info));
+  }
   return out;
 }
 
@@ -226,9 +187,6 @@ StatusOr<core::PageState> ContextStore::Load(const std::string& title) const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!open_) return Status::Internal("context store not opened");
-    if (pages_.find(title) == pages_.end()) {
-      return Status::NotFound("no context for page \"" + title + "\"");
-    }
   }
   StatusOr<std::vector<ChainRecord>> chain = log_.ReadChain(title);
   SOMR_RETURN_IF_ERROR(chain.status());
@@ -278,11 +236,11 @@ Status ContextStore::SaveInternal(const core::PageState& state, bool commit) {
     if (!open_) return Status::Internal("context store not opened");
     auto mark = watermarks_.find(state.title);
     if (mark != watermarks_.end() && options_.full_snapshot_every > 1 &&
-        log_.ChainDepth(state.title) <
-            static_cast<size_t>(options_.full_snapshot_every) &&
         mark->second.revisions_ingested <= state.revisions_ingested) {
-      as_delta = true;
-      base = mark->second;
+      const std::optional<ChainEntry> chain = log_.Entry(state.title);
+      as_delta = chain.has_value() &&
+                 chain->depth < options_.full_snapshot_every;
+      if (as_delta) base = mark->second;
     }
   }
 
@@ -296,37 +254,21 @@ Status ContextStore::SaveInternal(const core::PageState& state, bool commit) {
   }
   SOMR_RETURN_IF_ERROR(record.status());
 
-  PageInfo info;
-  info.title = state.title;
-  info.page_id = state.page_id;
-  info.last_revision_id = state.last_revision_id;
-  info.last_timestamp = state.last_timestamp;
-  info.revisions_ingested = state.revisions_ingested;
+  SOMR_RETURN_IF_ERROR(
+      log_.Append(state.title,
+                  as_delta ? RecordKind::kDelta : RecordKind::kFull, *record,
+                  PageRow(state))
+          .status());
   {
-    // The append and the manifest entry land together, between commits,
-    // so a commit covers every page it writes a manifest row for.
-    std::lock_guard<std::mutex> write_lock(write_mu_);
-    StatusOr<RecordRef> ref = log_.Append(
-        state.title, as_delta ? RecordKind::kDelta : RecordKind::kFull,
-        *record);
-    SOMR_RETURN_IF_ERROR(ref.status());
-    info.shard = ref->shard;
     std::lock_guard<std::mutex> lock(mu_);
-    const size_t depth = log_.ChainDepth(state.title);
-    info.delta_depth = depth == 0 ? 0 : static_cast<uint32_t>(depth - 1);
-    info.chain_bytes = log_.ChainBytes(state.title);
-    auto it = pages_.find(info.title);
-    info.version = it == pages_.end() ? 1 : it->second.version + 1;
-    pages_[info.title] = std::move(info);
     watermarks_[state.title] = CaptureWatermark(state);
-    unwritten_.insert(state.title);
   }
 
   const SnapshotMetrics& metrics = GetSnapshotMetrics();
   metrics.saves->Increment();
   (as_delta ? metrics.delta_records : metrics.full_records)->Increment();
   metrics.snapshot_bytes->Observe(static_cast<double>(record->size()));
-  return commit ? CommitInternal() : Status::OK();
+  return commit ? Commit() : Status::OK();
 }
 
 Status ContextStore::Commit() {
@@ -334,80 +276,9 @@ Status ContextStore::Commit() {
     std::lock_guard<std::mutex> lock(mu_);
     if (!open_) return Status::Internal("context store not opened");
   }
-  return CommitInternal();
-}
-
-Status ContextStore::CommitInternal() {
-  {
-    std::lock_guard<std::mutex> write_lock(write_mu_);
-    // Records first, then the manifest: a crash in between leaves chains
-    // that are a superset of the manifest (invisible but harmless), never
-    // manifest rows pointing at missing records. Holding write_mu_ keeps
-    // saves out until both are durable, so a commit that returns covers
-    // every save that came before it.
-    SOMR_RETURN_IF_ERROR(log_.Commit());
-    // The block: the rows of the pages saved since the last commit.
-    std::string block, base;
-    bool rewrite = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      std::vector<const PageInfo*> rows;
-      rows.reserve(unwritten_.size());
-      for (const std::string& title : unwritten_) {
-        rows.push_back(&pages_.at(title));
-      }
-      block = RenderManifestRowsLocked(std::move(rows));
-      rewrite = manifest_.RewriteDue(block);
-      if (rewrite) {
-        rows.clear();
-        rows.reserve(pages_.size());
-        for (const auto& [title, info] : pages_) rows.push_back(&info);
-        base = RenderManifestRowsLocked(std::move(rows));
-      }
-    }
-    Status written = Status::OK();
-    if (rewrite) {
-      written = manifest_.Rewrite(ManifestHeader(), base);
-    } else if (!block.empty()) {
-      written = manifest_.Append(block);
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    manifest_stats_ = manifest_.stats();
-    SOMR_RETURN_IF_ERROR(written);
-    unwritten_.clear();
-  }
+  SOMR_RETURN_IF_ERROR(log_.Commit());
   ScheduleCompactions();
   return Status::OK();
-}
-
-std::string ContextStore::ManifestHeader() const {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fingerprint_));
-  return std::string(kManifestHeader) + " config=" + buf;
-}
-
-std::string ContextStore::RenderManifestRowsLocked(
-    std::vector<const PageInfo*> rows) const {
-  std::sort(rows.begin(), rows.end(),
-            [](const PageInfo* a, const PageInfo* b) {
-              return a->title < b->title;
-            });
-  std::string out;
-  for (const PageInfo* row : rows) {
-    const PageInfo& info = *row;
-    out += std::to_string(info.page_id);
-    out += '\t';
-    out += std::to_string(info.last_revision_id);
-    out += '\t';
-    out += std::to_string(info.last_timestamp);
-    out += '\t';
-    out += std::to_string(info.revisions_ingested);
-    out += '\t';
-    out += EscapeKey(info.title);
-    out += '\n';
-  }
-  return out;
 }
 
 Status ContextStore::CompactNow() {
@@ -474,15 +345,9 @@ ContextStore::StoreStats ContextStore::Stats() const {
     stats.size_bytes += shard.size_bytes;
     stats.live_bytes += shard.live_bytes;
     stats.superseded_bytes += shard.superseded_bytes;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats.manifest = manifest_stats_;
-    stats.contexts = pages_.size();
-    for (const auto& [title, info] : pages_) {
-      stats.max_delta_depth =
-          std::max<uint64_t>(stats.max_delta_depth, info.delta_depth);
-    }
+    stats.contexts += shard.chains;
+    stats.max_delta_depth =
+        std::max(stats.max_delta_depth, shard.max_delta_depth);
   }
   {
     std::lock_guard<std::mutex> lock(compaction_mu_);
@@ -507,9 +372,6 @@ std::string ContextStore::StatsJson() const {
   out += ", \"index\": {\"base_bytes\": " +
          std::to_string(stats.index.base_bytes) + ", \"block_bytes\": " +
          std::to_string(stats.index.block_bytes) + "}";
-  out += ", \"manifest\": {\"base_bytes\": " +
-         std::to_string(stats.manifest.base_bytes) + ", \"block_bytes\": " +
-         std::to_string(stats.manifest.block_bytes) + "}";
   out += ", \"shards\": [";
   for (size_t i = 0; i < stats.shards.size(); ++i) {
     const ShardStats& s = stats.shards[i];

@@ -6,7 +6,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -31,15 +30,17 @@ namespace somr::state {
 /// (Load) replays the chain — full snapshot, then each delta — and
 /// reconstructs the exact state that was saved, byte-for-byte.
 ///
-/// `manifest.tsv` carries only page metadata (ids, revision
-/// bookkeeping, titles) plus the store-wide config fingerprint; record
-/// placement lives in the log's own index, `records.idx`. Both are
-/// IndexFiles: a base plus one appended, checksummed block per commit,
-/// holding only the rows that changed, and rewritten whole when their
-/// blocks outgrow their base (see IndexFile).
+/// The log's index, `records.idx`, is the store's only index: each
+/// page's chain row carries the page's own row (page id, last revision
+/// id and timestamp, revisions ingested) beside its record refs, and its
+/// header carries the store-wide config fingerprint. A page's listing
+/// and its chain therefore come from one row and one commit. The index
+/// is an IndexFile: a base plus one appended, checksummed block per
+/// commit, holding only the rows that changed, and rewritten whole when
+/// its blocks outgrow its base (see IndexFile).
 ///
 /// Durability: Save() commits immediately, at a cost of O(what changed):
-/// the record append, then one block to each index file, each
+/// the record append, the shard's fdatasync, then one block to the index,
 /// fdatasynced. Batch writers (checkpoint fan-outs, dump ingest) should
 /// call SaveUncommitted() per page and one Commit() at the end, which
 /// pays the fsyncs once per checkpoint instead of once per page. Appends
@@ -80,10 +81,6 @@ class ContextStore {
     int64_t last_revision_id = 0;
     UnixSeconds last_timestamp = 0;
     uint32_t revisions_ingested = 0;
-    /// In-memory snapshot generation: 1 when the entry came from the
-    /// manifest at Open(), bumped on every Save(). Not persisted — it
-    /// lets a reader tell whether a page changed since it last looked.
-    uint64_t version = 0;
     /// Record-log placement: the shard the chain lives in, how many
     /// delta records follow the full snapshot, and the chain's total
     /// frame bytes (what a fault must read).
@@ -95,8 +92,7 @@ class ContextStore {
   /// Aggregate store shape for status/debug/flight-recorder reporting.
   struct StoreStats {
     std::vector<ShardStats> shards;
-    IndexFileStats index;     // records.idx
-    IndexFileStats manifest;  // manifest.tsv
+    IndexFileStats index;  // records.idx
     uint64_t contexts = 0;
     uint64_t size_bytes = 0;
     uint64_t live_bytes = 0;
@@ -110,21 +106,23 @@ class ContextStore {
   /// Blocks until in-flight background compactions finish.
   ~ContextStore();
 
-  /// Opens the store. `create` makes the directory, record log, and an
-  /// empty manifest when absent; without it a missing manifest is
-  /// NotFound. An existing manifest whose config fingerprint differs
-  /// from this store's config is refused with InvalidArgument, as is a
-  /// v1 (one-file-per-page) store, which predates the record log.
+  /// Opens the store and checks every page row once. `create` makes the
+  /// directory and an empty record log when absent; without it a missing
+  /// `records.idx` is NotFound. An index whose config fingerprint
+  /// differs from this store's config is refused with InvalidArgument,
+  /// as is a directory holding a `manifest.tsv`: a store written before
+  /// the index carried the page rows, refused with its format and a
+  /// re-ingest hint.
   Status Open(bool create);
 
   bool Contains(const std::string& title) const;
 
-  /// O(1) manifest-index probe: the page's metadata and record-chain
-  /// placement without touching the filesystem, or nullopt when the
-  /// page has never been saved.
+  /// O(1) index probe: the page's metadata and record-chain placement
+  /// without touching the filesystem, or nullopt when the page has never
+  /// been saved.
   std::optional<PageInfo> Lookup(const std::string& title) const;
 
-  /// Manifest entries sorted by title.
+  /// Every page, sorted by title.
   std::vector<PageInfo> Pages() const;
 
   /// Replays the page's record chain (full snapshot + deltas) into a
@@ -136,15 +134,14 @@ class ContextStore {
   /// it durable: equivalent to SaveUncommitted() + Commit().
   Status Save(const core::PageState& state);
 
-  /// Appends the page's record without committing the index/manifest.
-  /// Cheap (sequential write, no fsync); not durable until Commit().
+  /// Appends the page's record without committing the index. Cheap
+  /// (sequential write, no fsync); not durable until Commit().
   Status SaveUncommitted(const core::PageState& state);
 
   /// The durability point: fdatasyncs dirty record shards, then appends
-  /// one block to the log index and one to the manifest (the chains and
-  /// rows of the pages saved since the last commit), each fdatasynced,
-  /// index first; then kicks off any due shard compactions. Returns only
-  /// when every save before it is durable.
+  /// one fdatasynced block to the index (the chain rows of the pages
+  /// saved since the last commit); then kicks off any due shard
+  /// compactions. Returns only when every save before it is durable.
   Status Commit();
 
   /// Runs every due compaction inline and returns when the store is
@@ -167,11 +164,6 @@ class ContextStore {
 
  private:
   Status SaveInternal(const core::PageState& state, bool commit);
-  Status CommitInternal();
-  std::string ManifestHeader() const;
-  /// Manifest rows for `rows`, sorted by title.
-  std::string RenderManifestRowsLocked(std::vector<const PageInfo*> rows)
-      const SOMR_REQUIRES(mu_);
   void ScheduleCompactions();
   void WaitForCompactions();
 
@@ -179,34 +171,17 @@ class ContextStore {
   // above read them without the lock).
   std::string dir_ SOMR_NOT_GUARDED;
   matching::MatcherConfig config_ SOMR_NOT_GUARDED;
-  uint64_t fingerprint_ SOMR_NOT_GUARDED;
   StoreOptions options_ SOMR_NOT_GUARDED;
-  // Internally synchronized (every RecordLog method takes its own lock).
+  // Internally synchronized (every RecordLog method takes its own lock);
+  // the only index of the store's pages.
   RecordLog log_ SOMR_NOT_GUARDED;
 
-  /// Serializes a save's append with commits: a commit holds it from the
-  /// log commit through the manifest block, so its manifest rows never
-  /// get ahead of the log index, and a commit that returns covers every
-  /// save before it. Taken before mu_.
-  std::mutex write_mu_;
-  IndexFile manifest_ SOMR_GUARDED_BY(write_mu_);
-
   mutable std::mutex mu_;
-  /// The manifest index: title -> PageInfo, hash-keyed so Lookup() and
-  /// Contains() are O(1). Manifest writes sort rows by title, keeping
-  /// the on-disk file deterministic regardless of table order.
-  std::unordered_map<std::string, PageInfo> pages_ SOMR_GUARDED_BY(mu_);
   /// Last-persisted watermark per page: the base the next delta save
   /// is encoded against. Populated by Save() and Load(); a page
   /// without one (cold since Open) gets a full snapshot first.
   mutable std::unordered_map<std::string, SnapshotWatermark> watermarks_
       SOMR_GUARDED_BY(mu_);
-  /// Pages saved since the last commit: the rows of the next manifest
-  /// block.
-  std::unordered_set<std::string> unwritten_ SOMR_GUARDED_BY(mu_);
-  /// manifest_'s shape as of its last write, so Stats() need not wait
-  /// for a commit.
-  IndexFileStats manifest_stats_ SOMR_GUARDED_BY(mu_);
   bool open_ SOMR_GUARDED_BY(mu_) = false;
 
   mutable std::mutex compaction_mu_;

@@ -8,10 +8,10 @@
 
 namespace somr::state {
 
-// The storage syscalls under the record log, its index and the store
-// manifest. Every pwrite, fdatasync, fsync, rename and ftruncate of those
-// files goes through these wrappers, so a test can make any one of them
-// fail (ArmIoFaults) and check what a reopened store recovers.
+// The storage syscalls under the record log and its index. Every pwrite,
+// fdatasync, fsync, rename and ftruncate of those files goes through
+// these wrappers, so a test can make any one of them fail (ArmIoFaults)
+// and check what a reopened store recovers.
 
 /// Reads exactly `length` bytes at `offset` into `out`.
 Status PReadExact(int fd, uint64_t offset, uint64_t length,

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -23,13 +22,6 @@ namespace {
 constexpr std::string_view kBaseField = " base=";
 constexpr std::string_view kBlockTag = "#block ";
 constexpr size_t kChecksumDigits = 16;
-
-/// An unsigned integer in `base` that fills all of `text`.
-bool ParseUnsigned(std::string_view text, int base, uint64_t* out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, *out, base);
-  return !text.empty() && ec == std::errc() && ptr == end;
-}
 
 std::string BlockHeader(std::string_view rows) {
   char checksum[kChecksumDigits + 1];
@@ -54,9 +46,9 @@ size_t ParseBlock(std::string_view data, size_t at, size_t* rows_begin) {
   const size_t space = line.find(' ');
   uint64_t length = 0, checksum = 0;
   if (space == std::string_view::npos ||
-      !ParseUnsigned(line.substr(0, space), 10, &length) ||
+      !ParseInteger(line.substr(0, space), &length) ||
       line.size() - space - 1 != kChecksumDigits ||
-      !ParseUnsigned(line.substr(space + 1), 16, &checksum)) {
+      !ParseInteger(line.substr(space + 1), &checksum, 16)) {
     return 0;
   }
   const size_t begin = eol + 1;
@@ -164,20 +156,15 @@ Status IndexFile::Load(Contents* contents) {
   const size_t eol = d.find('\n');
   const size_t header_end = eol == std::string_view::npos ? d.size() : eol + 1;
   std::string_view header = d.substr(0, std::min(eol, d.size()));
-  size_t base_end = d.size();
   const size_t field = header.rfind(kBaseField);
-  const bool has_base = field != std::string_view::npos;
-  if (has_base) {
-    uint64_t rows = 0;
-    if (!ParseUnsigned(header.substr(field + kBaseField.size()), 10,
-                       &rows) ||
-        rows > d.size() - header_end) {
-      return Status::ParseError(path_ + ":1: bad base= field");
-    }
-    base_end = header_end + static_cast<size_t>(rows);
-    header = header.substr(0, field);
+  uint64_t rows = 0;
+  if (field == std::string_view::npos ||
+      !ParseInteger(header.substr(field + kBaseField.size()), &rows) ||
+      rows > d.size() - header_end) {
+    return Status::ParseError(path_ + ":1: missing or bad base= field");
   }
-  contents->header_ = std::string(header);
+  const size_t base_end = header_end + static_cast<size_t>(rows);
+  contents->header_ = std::string(header.substr(0, field));
   size_t line = SplitRows(d, header_end, base_end, /*in_block=*/false, 2,
                           &contents->rows_);
   size_t end = base_end;
@@ -202,7 +189,7 @@ Status IndexFile::Load(Contents* contents) {
   }
   base_end_ = base_end;
   end_ = end;
-  rewrite_due_ = !has_base;
+  rewrite_due_ = false;
   return Status::OK();
 }
 

@@ -20,7 +20,7 @@ struct IndexFileStats {
   uint64_t block_bytes = 0;  // blocks appended since the last rewrite
 };
 
-/// The on-disk form that `records.idx` and `manifest.tsv` share: a base,
+/// The on-disk form of `records.idx`, the record log's index: a base,
 /// then one appended block per commit since the base was written.
 ///
 ///   <header> base=<N>\n          N = bytes of base rows after this line
@@ -29,8 +29,8 @@ struct IndexFileStats {
 ///   <L bytes of rows>
 ///
 /// A row is one '\n'-terminated line. The owner gives rows their meaning;
-/// for both owners a later row for a key replaces an earlier one, so a
-/// commit appends only the rows that changed. Load() replays the base and
+/// a later row for a key replaces an earlier one, so a commit appends
+/// only the rows that changed. Load() replays the base and
 /// then every valid block. The first torn or corrupt block ends the
 /// replay and is truncated away with everything after it, so the file
 /// lands on its last complete commit.
@@ -39,8 +39,7 @@ struct IndexFileStats {
 /// is created, when its owner says its rows moved (RequireRewrite), and
 /// when its blocks would outgrow its base. The last keeps a commit's cost
 /// amortized O(rows changed) and the file under about twice its live
-/// rows. A file whose header has no `base=` field predates blocks: it is
-/// all base, and its next commit rewrites it.
+/// rows. A header without a `base=` field is a ParseError.
 ///
 /// Not thread-safe: the owner serializes every call.
 class IndexFile {

@@ -62,7 +62,8 @@ const RecordLogMetrics& GetRecordLogMetrics() {
 
 constexpr char kFrameMagic[4] = {'S', 'R', 'L', 'F'};
 constexpr const char* kIndexName = "records.idx";
-constexpr const char* kIndexHeader = "# somr-record-log v1";
+// v2: chain rows carry the owner's row, and the header its config tag.
+constexpr const char* kIndexHeader = "# somr-record-log v2";
 // magic + kind byte + key length prefix + payload length + checksum.
 constexpr uint64_t kFrameFixedBytes = 4 + 1 + 8 + 8 + 8;
 
@@ -113,19 +114,38 @@ uint64_t DecodeFrame(std::string_view data, uint64_t at, std::string* key,
   return frame_len;
 }
 
-void AppendChainRow(const std::string& key,
-                    const std::vector<RecordRef>& chain, std::string* out) {
-  *out += "C\t";
-  *out += std::to_string(chain.front().shard);
-  *out += '\t';
-  for (size_t i = 0; i < chain.size(); ++i) {
-    if (i > 0) *out += ',';
-    *out += std::to_string(chain[i].offset);
-    *out += ':';
-    *out += std::to_string(chain[i].length);
-    *out += ':';
-    *out += std::to_string(static_cast<unsigned>(chain[i].kind));
+/// The value of the space-separated `name=` field of `header`, parsed
+/// in `base`; false when it is absent or malformed.
+bool HeaderField(std::string_view header, std::string_view name, int base,
+                 uint64_t* out) {
+  for (std::string_view field : SplitString(header, ' ')) {
+    if (field.size() <= name.size() || field.substr(0, name.size()) != name ||
+        field[name.size()] != '=') {
+      continue;
+    }
+    return ParseInteger(field.substr(name.size() + 1), out, base);
   }
+  return false;
+}
+
+/// "C <shard> <offset:length:kind,...> <owner row> <key>", tab-separated.
+void AppendChainRow(const std::string& key,
+                    const std::vector<RecordRef>& refs,
+                    const std::string& row, std::string* out) {
+  *out += "C\t";
+  *out += std::to_string(refs.front().shard);
+  *out += '\t';
+  for (size_t i = 0; i < refs.size(); ++i) {
+    const RecordRef& ref = refs[i];
+    if (i > 0) *out += ',';
+    *out += std::to_string(ref.offset);
+    *out += ':';
+    *out += std::to_string(ref.length);
+    *out += ':';
+    *out += std::to_string(static_cast<unsigned>(ref.kind));
+  }
+  *out += '\t';
+  *out += EscapeKey(row);
   *out += '\t';
   *out += EscapeKey(key);
   *out += '\n';
@@ -147,11 +167,13 @@ class CompactionClaim {
 
 }  // namespace
 
-RecordLog::RecordLog(std::string dir, Options options)
+RecordLog::RecordLog(std::string dir, Options options, uint64_t config)
     : dir_(std::move(dir)),
       options_(options),
+      config_(config),
       index_((fs::path(dir_) / kIndexName).string()) {
-  if (options_.shard_count == 0) options_.shard_count = 1;
+  options_.shard_count = std::clamp<uint32_t>(options_.shard_count, 1,
+                                              kMaxShards);
   if (options_.compact_ratio <= 0.0) options_.compact_ratio = 0.5;
 }
 
@@ -250,15 +272,15 @@ Status RecordLog::ApplyIndexRowLocked(const IndexFile::Row& row) {
     return Status::OK();
   }
   if (line[0] != 'C') return Status::ParseError("unknown row type");
-  if (fields.size() != 4) {
-    return Status::ParseError("chain row needs 4 fields");
+  if (fields.size() != 5) {
+    return Status::ParseError("chain row needs 5 fields");
   }
   unsigned shard = 0;
   if (std::sscanf(std::string(fields[1]).c_str(), "%u", &shard) != 1 ||
       shard >= shards_.size()) {
     return Status::ParseError("bad chain shard");
   }
-  std::vector<RecordRef> chain;
+  Chain chain;
   for (std::string_view part : SplitString(fields[2], ',')) {
     unsigned long long offset = 0, length = 0;
     unsigned kind = 0;
@@ -274,12 +296,13 @@ Status RecordLog::ApplyIndexRowLocked(const IndexFile::Row& row) {
     ref.offset = offset;
     ref.length = length;
     ref.kind = static_cast<RecordKind>(kind);
-    chain.push_back(ref);
+    chain.refs.push_back(ref);
   }
-  if (chain.empty() || chain.front().kind != RecordKind::kFull) {
+  if (chain.refs.empty() || chain.refs.front().kind != RecordKind::kFull) {
     return Status::ParseError("chain must start with a full record");
   }
-  std::string key = UnescapeKey(fields[3]);
+  chain.row = UnescapeKey(fields[3]);
+  std::string key = UnescapeKey(fields[4]);
   if (row.in_block) {
     chains_[std::move(key)] = std::move(chain);
   } else if (!chains_.emplace(std::move(key), std::move(chain)).second) {
@@ -290,19 +313,28 @@ Status RecordLog::ApplyIndexRowLocked(const IndexFile::Row& row) {
 
 Status RecordLog::LoadIndexLocked(const IndexFile::Contents& contents) {
   const std::string& header = contents.header();
-  if (header.rfind(kIndexHeader, 0) != 0) {
-    return Status::ParseError(index_.path() + ":1: not a record-log index");
+  if (header.rfind(std::string(kIndexHeader) + ' ', 0) != 0) {
+    return Status::ParseError(index_.path() +
+                              ":1: not a record-log index of this version");
   }
-  const std::string marker = "shards=";
-  const size_t at = header.find(marker);
-  unsigned shard_count = 0;
-  if (at == std::string::npos ||
-      std::sscanf(header.c_str() + at + marker.size(), "%u",
-                  &shard_count) != 1 ||
-      shard_count == 0) {
+  uint64_t shard_count = 0, config = 0;
+  if (!HeaderField(header, "shards", 10, &shard_count) || shard_count == 0 ||
+      shard_count > kMaxShards) {
     return Status::ParseError(index_.path() + ":1: bad shard count");
   }
-  for (unsigned i = 0; i < shard_count; ++i) {
+  if (!HeaderField(header, "config", 16, &config)) {
+    return Status::ParseError(index_.path() + ":1: bad config tag");
+  }
+  if (config != config_) {
+    char tags[48];
+    std::snprintf(tags, sizeof tags, "%016llx, not %016llx",
+                  static_cast<unsigned long long>(config),
+                  static_cast<unsigned long long>(config_));
+    return Status::InvalidArgument("record log at " + dir_ +
+                                   " was written under config " + tags +
+                                   "; refusing to resume");
+  }
+  for (uint64_t i = 0; i < shard_count; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
   // Replay: a block's shard and chain rows replace the rows for the same
@@ -314,7 +346,7 @@ Status RecordLog::LoadIndexLocked(const IndexFile::Contents& contents) {
   // Every final chain must lie in its shard's committed bytes; what they
   // cover is the shard's live bytes.
   for (const auto& [key, chain] : chains_) {
-    for (const RecordRef& ref : chain) {
+    for (const RecordRef& ref : chain.refs) {
       Shard& s = *shards_[ref.shard];
       if (ref.length > s.durable_size ||
           ref.offset > s.durable_size - ref.length) {
@@ -330,8 +362,11 @@ Status RecordLog::LoadIndexLocked(const IndexFile::Contents& contents) {
 }
 
 std::string RecordLog::IndexHeaderLocked() const {
+  char config[24];
+  std::snprintf(config, sizeof config, "%016llx",
+                static_cast<unsigned long long>(config_));
   return std::string(kIndexHeader) + " shards=" +
-         std::to_string(shards_.size());
+         std::to_string(shards_.size()) + " config=" + config;
 }
 
 void RecordLog::RenderShardRowLocked(size_t shard, std::string* out) const {
@@ -352,13 +387,14 @@ void RecordLog::RenderShardRowLocked(size_t shard, std::string* out) const {
 std::string RecordLog::RenderIndexLocked() const {
   std::string out;
   for (size_t i = 0; i < shards_.size(); ++i) RenderShardRowLocked(i, &out);
-  std::vector<const std::pair<const std::string, std::vector<RecordRef>>*>
-      rows;
+  std::vector<const std::pair<const std::string, Chain>*> rows;
   rows.reserve(chains_.size());
   for (const auto& entry : chains_) rows.push_back(&entry);
   std::sort(rows.begin(), rows.end(),
             [](const auto* a, const auto* b) { return a->first < b->first; });
-  for (const auto* row : rows) AppendChainRow(row->first, row->second, &out);
+  for (const auto* row : rows) {
+    AppendChainRow(row->first, row->second.refs, row->second.row, &out);
+  }
   return out;
 }
 
@@ -432,16 +468,10 @@ Status RecordLog::Open(bool create) {
   return Status::OK();
 }
 
-uint32_t RecordLog::ShardFor(const std::string& key) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  const size_t count = shards_.empty() ? options_.shard_count
-                                       : shards_.size();
-  return static_cast<uint32_t>(Fnv1a64(key) % count);
-}
-
 StatusOr<RecordRef> RecordLog::Append(const std::string& key,
                                       RecordKind kind,
-                                      std::string_view payload) {
+                                      std::string_view payload,
+                                      std::string row) {
   const std::string frame = EncodeFrame(key, kind, payload);
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (!open_) return Status::Internal("record log not opened");
@@ -466,14 +496,15 @@ StatusOr<RecordRef> RecordLog::Append(const std::string& key,
   GetRecordLogMetrics().appended_bytes->Increment(frame.size());
 
   pending_keys_.insert(key);
-  std::vector<RecordRef>& chain = chains_[key];
+  Chain& chain = chains_[key];
   if (start_chain) {
-    for (const RecordRef& old : chain) {
+    for (const RecordRef& old : chain.refs) {
       shards_[old.shard]->live_bytes -= old.length;
     }
-    chain.clear();
+    chain.refs.clear();
   }
-  chain.push_back(ref);
+  chain.refs.push_back(ref);
+  chain.row = std::move(row);
   return ref;
 }
 
@@ -489,8 +520,8 @@ StatusOr<std::vector<ChainRecord>> RecordLog::ReadChain(
     return Status::NotFound("no record chain for \"" + key + "\"");
   }
   std::vector<ChainRecord> out;
-  out.reserve(it->second.size());
-  for (const RecordRef& ref : it->second) {
+  out.reserve(it->second.refs.size());
+  for (const RecordRef& ref : it->second.refs) {
     std::string frame;
     SOMR_RETURN_IF_ERROR(
         PReadExact(shards_[ref.shard]->fd, ref.offset, ref.length, &frame));
@@ -515,19 +546,38 @@ bool RecordLog::Contains(const std::string& key) const {
   return chains_.count(key) > 0;
 }
 
-size_t RecordLog::ChainDepth(const std::string& key) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = chains_.find(key);
-  return it == chains_.end() ? 0 : it->second.size();
+ChainEntry RecordLog::MakeEntry(const std::string& key,
+                                const Chain& chain) {
+  ChainEntry entry;
+  entry.key = key;
+  entry.row = chain.row;
+  entry.shard = chain.refs.front().shard;
+  entry.depth = static_cast<uint32_t>(chain.refs.size());
+  for (const RecordRef& ref : chain.refs) entry.bytes += ref.length;
+  return entry;
 }
 
-uint64_t RecordLog::ChainBytes(const std::string& key) const {
+std::optional<ChainEntry> RecordLog::Entry(const std::string& key) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = chains_.find(key);
-  if (it == chains_.end()) return 0;
-  uint64_t total = 0;
-  for (const RecordRef& ref : it->second) total += ref.length;
-  return total;
+  if (it == chains_.end()) return std::nullopt;
+  return MakeEntry(it->first, it->second);
+}
+
+std::vector<ChainEntry> RecordLog::Entries() const {
+  std::vector<ChainEntry> out;
+  {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    out.reserve(chains_.size());
+    for (const auto& [key, chain] : chains_) {
+      out.push_back(MakeEntry(key, chain));
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const ChainEntry& a, const ChainEntry& b) {
+              return a.key < b.key;
+            });
+  return out;
 }
 
 Status RecordLog::CommitLocked() {
@@ -548,7 +598,8 @@ Status RecordLog::CommitLocked() {
   std::sort(keys.begin(), keys.end(),
             [](const std::string* a, const std::string* b) { return *a < *b; });
   for (const std::string* key : keys) {
-    AppendChainRow(*key, chains_.at(*key), &block);
+    const Chain& chain = chains_.at(*key);
+    AppendChainRow(*key, chain.refs, chain.row, &block);
   }
   if (index_.RewriteDue(block)) {
     SOMR_RETURN_IF_ERROR(
@@ -604,8 +655,8 @@ StatusOr<bool> RecordLog::Compact(uint32_t shard) {
     old_generation = s->generation;
     old_fd = s->fd;
     for (const auto& [key, chain] : chains_) {
-      if (chain.empty() || chain.front().shard != shard) continue;
-      for (const RecordRef& ref : chain) {
+      if (chain.refs.front().shard != shard) continue;
+      for (const RecordRef& ref : chain.refs) {
         live.emplace_back(ref.offset, ref.length);
       }
     }
@@ -650,6 +701,11 @@ StatusOr<bool> RecordLog::Compact(uint32_t shard) {
   uint64_t reclaimed = 0;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
+    auto abandon = [&](Status status) {
+      ::close(new_fd);
+      std::remove(new_path.c_str());
+      return status;
+    };
     // Catch-up: frames appended while we copied move over verbatim;
     // their offsets shift by a fixed amount.
     const uint64_t tail_base = out_offset;
@@ -659,56 +715,48 @@ StatusOr<bool> RecordLog::Compact(uint32_t shard) {
       Status status = PReadExact(old_fd, base_size,
                                  current_size - base_size, &tail);
       if (status.ok()) status = PWriteAll(new_fd, tail_base, tail);
-      if (!status.ok()) {
-        ::close(new_fd);
-        std::remove(new_path.c_str());
-        return status;
-      }
+      if (!status.ok()) return abandon(status);
       out_offset += current_size - base_size;
     }
+    // Every ref of the shard and its offset in the new generation, found
+    // before anything changes, so a failure leaves the shard as it was.
+    std::vector<std::pair<RecordRef*, uint64_t>> moves;
+    uint64_t live_bytes = 0;
     for (auto& [key, chain] : chains_) {
-      for (RecordRef& ref : chain) {
+      for (RecordRef& ref : chain.refs) {
         if (ref.shard != shard) continue;
+        uint64_t offset = 0;
         if (ref.offset >= base_size) {
-          ref.offset = tail_base + (ref.offset - base_size);
-          continue;
+          offset = tail_base + (ref.offset - base_size);
+        } else {
+          auto it = relocated.find(ref.offset);
+          if (it == relocated.end()) {
+            return abandon(Status::Internal(
+                "compaction lost a live record for \"" + key + "\""));
+          }
+          offset = it->second;
         }
-        auto it = relocated.find(ref.offset);
-        if (it == relocated.end()) {
-          ::close(new_fd);
-          std::remove(new_path.c_str());
-          return Status::Internal("compaction lost a live record for \"" +
-                                  key + "\"");
-        }
-        ref.offset = it->second;
+        moves.emplace_back(&ref, offset);
+        live_bytes += ref.length;
       }
     }
-    Status synced = SyncData(new_fd, new_path);
-    if (!synced.ok()) {
-      ::close(new_fd);
-      std::remove(new_path.c_str());
-      return synced;
-    }
+    // The swap: refs, file and generation change together. The commit
+    // below fdatasyncs the new generation (its size moved from the zero
+    // durable size) and rewrites the index whole, since every chain of
+    // the shard moved. If it fails, the shard goes on reading the new
+    // file, the durable index keeps naming the old one (left on disk for
+    // the next Open to remove), and the rewrite stays due for the next
+    // commit.
+    for (const auto& [ref, offset] : moves) ref->offset = offset;
     reclaimed = current_size - out_offset;
     ::close(s->fd);
     s->fd = new_fd;
     s->generation = old_generation + 1;
     s->size = out_offset;
     s->durable_size = 0;  // nothing of the new generation is indexed yet
-    uint64_t live_bytes = 0;
-    for (const auto& [key, chain] : chains_) {
-      for (const RecordRef& ref : chain) {
-        if (ref.shard == shard) live_bytes += ref.length;
-      }
-    }
     s->live_bytes = live_bytes;
     ++s->compactions;
     s->last_compaction_unix = static_cast<int64_t>(std::time(nullptr));
-    // Persist the new generation before dropping the old one: every
-    // chain of the shard moved, so the index is rewritten whole. On
-    // failure the old file stays on disk and the durable index keeps
-    // referencing it (the rewrite stays due for the next commit); the
-    // next successful Open cleans the orphan.
     index_.RequireRewrite();
     SOMR_RETURN_IF_ERROR(CommitLocked());
   }
@@ -723,9 +771,13 @@ std::vector<ShardStats> RecordLog::Shards() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   std::vector<ShardStats> out;
   out.reserve(shards_.size());
-  std::vector<uint64_t> records(shards_.size(), 0);
+  std::vector<ShardStats> chained(shards_.size());
   for (const auto& [key, chain] : chains_) {
-    for (const RecordRef& ref : chain) ++records[ref.shard];
+    ShardStats& of = chained[chain.refs.front().shard];
+    ++of.chains;
+    of.records += chain.refs.size();
+    of.max_delta_depth =
+        std::max<uint64_t>(of.max_delta_depth, chain.refs.size() - 1);
   }
   for (size_t i = 0; i < shards_.size(); ++i) {
     const Shard& s = *shards_[i];
@@ -735,7 +787,9 @@ std::vector<ShardStats> RecordLog::Shards() const {
     stats.size_bytes = s.size;
     stats.live_bytes = s.live_bytes;
     stats.superseded_bytes = s.size - s.live_bytes;
-    stats.records = records[i];
+    stats.chains = chained[i].chains;
+    stats.records = chained[i].records;
+    stats.max_delta_depth = chained[i].max_delta_depth;
     stats.compactions = s.compactions;
     stats.last_compaction_unix = s.last_compaction_unix;
     stats.tail_recovered_bytes = s.tail_recovered;

@@ -90,5 +90,30 @@ TEST(EqualsIgnoreAsciiCaseTest, Basic) {
   EXPECT_FALSE(EqualsIgnoreAsciiCase("abc", "abcd"));
 }
 
+TEST(ParseIntegerTest, WholeTextInRangeOnly) {
+  int64_t signed_value = 0;
+  EXPECT_TRUE(ParseInteger("-42", &signed_value));
+  EXPECT_EQ(signed_value, -42);
+  uint64_t value = 0;
+  EXPECT_TRUE(ParseInteger("ff", &value, 16));
+  EXPECT_EQ(value, 255u);
+  uint32_t narrow = 0;
+  EXPECT_FALSE(ParseInteger("4294967296", &narrow));
+  EXPECT_FALSE(ParseInteger("-1", &value));
+  EXPECT_FALSE(ParseInteger("12 ", &value));
+  EXPECT_FALSE(ParseInteger(" 12", &value));
+  EXPECT_FALSE(ParseInteger("", &value));
+}
+
+TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(JsonEscape(""), "");
+  EXPECT_EQ(JsonEscape("plain \xc3\xa9"), "plain \xc3\xa9");
+  EXPECT_EQ(JsonEscape("say \"hi\" \\ back"), "say \\\"hi\\\" \\\\ back");
+  EXPECT_EQ(JsonEscape("a\nb\rc\td"), "a\\nb\\rc\\td");
+  EXPECT_EQ(JsonEscape(std::string("\x01\x1f\0", 3)),
+            "\\u0001\\u001f\\u0000");
+  EXPECT_EQ(JsonEscape("\x7f"), "\x7f");
+}
+
 }  // namespace
 }  // namespace somr

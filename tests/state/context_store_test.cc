@@ -13,6 +13,7 @@
 
 #include "extract/wikitext_extractor.h"
 #include "obs/metrics.h"
+#include "state/file_io.h"
 #include "wikigen/corpus.h"
 #include "xmldump/dump.h"
 
@@ -125,7 +126,7 @@ TEST_F(ContextStoreTest, CreateThenReopen) {
   EXPECT_EQ(pages[1].revisions_ingested, 5u);
 }
 
-TEST_F(ContextStoreTest, LookupIsManifestIndexProbe) {
+TEST_F(ContextStoreTest, LookupIsIndexProbe) {
   ContextStore store(dir_);
   ASSERT_TRUE(store.Open(/*create=*/true).ok());
   EXPECT_FALSE(store.Lookup("Alpha").has_value());
@@ -139,24 +140,6 @@ TEST_F(ContextStoreTest, LookupIsManifestIndexProbe) {
   EXPECT_GT(info->chain_bytes, 0u);
   EXPECT_EQ(info->delta_depth, 0u);  // first save is the chain anchor
   EXPECT_FALSE(store.Lookup("Beta").has_value());
-}
-
-TEST_F(ContextStoreTest, VersionBumpsPerSaveAndResetsOnOpen) {
-  ContextStore store(dir_);
-  ASSERT_TRUE(store.Open(/*create=*/true).ok());
-  ASSERT_TRUE(store.Save(MakeState("Alpha", 1)).ok());
-  EXPECT_EQ(store.Lookup("Alpha")->version, 1u);
-  ASSERT_TRUE(store.Save(MakeState("Alpha", 2)).ok());
-  EXPECT_EQ(store.Lookup("Alpha")->version, 2u);
-  ASSERT_TRUE(store.Save(MakeState("Beta", 1)).ok());
-  EXPECT_EQ(store.Lookup("Beta")->version, 1u);
-
-  // Versions are in-memory generations, not persisted: a reopened store
-  // starts every manifest entry at 1 again.
-  ContextStore reopened(dir_);
-  ASSERT_TRUE(reopened.Open(/*create=*/false).ok());
-  EXPECT_EQ(reopened.Lookup("Alpha")->version, 1u);
-  EXPECT_EQ(reopened.Lookup("Beta")->version, 1u);
 }
 
 TEST_F(ContextStoreTest, LoadRestoresSavedState) {
@@ -190,7 +173,7 @@ TEST_F(ContextStoreTest, SaveOverwritesAtomically) {
   EXPECT_EQ(store.Pages()[0].last_revision_id, 9);
 }
 
-TEST_F(ContextStoreTest, AwkwardTitlesSurviveTheManifest) {
+TEST_F(ContextStoreTest, AwkwardTitlesSurviveTheIndex) {
   ContextStore store(dir_);
   ASSERT_TRUE(store.Open(/*create=*/true).ok());
   const std::string awkward = "A/B\\C\td\ne \"quoted\" \xc3\xa9";
@@ -239,13 +222,12 @@ TEST_F(ContextStoreTest, CorruptRecordIsCleanError) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
 }
 
-TEST_F(ContextStoreTest, GarbageManifestIsCleanError) {
+TEST_F(ContextStoreTest, GarbageIndexIsCleanError) {
   ContextStore store(dir_);
   ASSERT_TRUE(store.Open(/*create=*/true).ok());
-  std::ofstream(dir_ + "/manifest.tsv", std::ios::trunc)
-      << "not a manifest\n";
+  std::ofstream(dir_ + "/records.idx", std::ios::trunc) << "not an index\n";
   ContextStore reopened(dir_);
-  EXPECT_FALSE(reopened.Open(/*create=*/false).ok());
+  EXPECT_EQ(reopened.Open(/*create=*/false).code(), StatusCode::kParseError);
 }
 
 TEST_F(ContextStoreTest, NoTempFilesLeftBehind) {
@@ -258,12 +240,14 @@ TEST_F(ContextStoreTest, NoTempFilesLeftBehind) {
 
 TEST_F(ContextStoreTest, RefusesV1StoreWithMigrationMessage) {
   // v1: one file per page; v2 and v3: record logs of format-v3 and
-  // format-v4 snapshots. All must point at the migration, not at a
-  // config mismatch.
+  // format-v4 snapshots; v4: page rows in manifest.tsv beside
+  // records.idx. All must point at the migration, not at a config
+  // mismatch or a missing index.
   for (const char* header :
        {"# somr-context-store v1 config=0123456789abcdef\n",
         "# somr-context-store v2 config=0123456789abcdef\n",
-        "# somr-context-store v3 config=0123456789abcdef\n"}) {
+        "# somr-context-store v3 config=0123456789abcdef\n",
+        "# somr-context-store v4 config=0123456789abcdef base=0\n"}) {
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     std::ofstream(dir_ + "/manifest.tsv") << header;
@@ -441,8 +425,10 @@ TEST_F(ContextStoreTest, StatsJsonHasStoreShape) {
   EXPECT_NE(json.find("\"shards\""), std::string::npos);
 }
 
-// A one-page commit appends a block to each index file instead of
-// rewriting it, and the store reports both files' base and block bytes.
+// A one-page commit appends a block to the index instead of rewriting it,
+// in four storage calls: the record's pwrite, the shard's fdatasync, the
+// block's pwrite and its fdatasync. The store reports the index's base
+// and block bytes.
 TEST_F(ContextStoreTest, CommitAppendsBlocksAndStatsReportThem) {
   namespace fs = std::filesystem;
   ContextStore store(dir_);
@@ -456,28 +442,23 @@ TEST_F(ContextStoreTest, CommitAppendsBlocksAndStatsReportThem) {
       "somr_recordlog_index_rewrites_total", "");
   const uint64_t rewrites_before = rewrites->Value();
   const uint64_t index_before = fs::file_size(dir_ + "/records.idx");
-  ASSERT_TRUE(store.Save(MakeState("Page 3", 2)).ok());
+  ArmIoFaults(0);
+  const Status saved = store.Save(MakeState("Page 3", 2));
+  const uint64_t calls = DisarmIoFaults();
+  ASSERT_TRUE(saved.ok()) << saved.ToString();
+  EXPECT_EQ(calls, 4u);
   EXPECT_EQ(rewrites->Value(), rewrites_before);
   EXPECT_GT(fs::file_size(dir_ + "/records.idx"), index_before);
 
   const ContextStore::StoreStats stats = store.Stats();
   EXPECT_GT(stats.index.block_bytes, 0u);
-  EXPECT_GT(stats.manifest.block_bytes, 0u);
   EXPECT_EQ(stats.index.base_bytes + stats.index.block_bytes,
             fs::file_size(dir_ + "/records.idx"));
-  EXPECT_EQ(stats.manifest.base_bytes + stats.manifest.block_bytes,
-            fs::file_size(dir_ + "/manifest.tsv"));
   const std::string json = store.StatsJson();
   EXPECT_NE(json.find("\"index\": {\"base_bytes\": " +
                       std::to_string(stats.index.base_bytes) +
                       ", \"block_bytes\": " +
                       std::to_string(stats.index.block_bytes) + "}"),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"manifest\": {\"base_bytes\": " +
-                      std::to_string(stats.manifest.base_bytes) +
-                      ", \"block_bytes\": " +
-                      std::to_string(stats.manifest.block_bytes) + "}"),
             std::string::npos)
       << json;
 }

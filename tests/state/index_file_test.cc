@@ -117,16 +117,6 @@ TEST_F(IndexFileTest, TornOrCorruptLastBlockLandsOnPreviousCommit) {
   }
 }
 
-TEST_F(IndexFileTest, FileWithoutBaseFieldIsAllBaseAndRewritesNext) {
-  Write("# test v1\nx 1\n\ny 1\n");  // written before blocks existed
-  IndexFile file(path_);
-  EXPECT_EQ(Replay(&file), (std::vector<std::string>{"x 1", "y 1"}));
-  EXPECT_TRUE(file.RewriteDue("x 2\n"));
-  ASSERT_TRUE(file.Rewrite("# test v1", "x 2\ny 1\n").ok());
-  EXPECT_FALSE(file.RewriteDue(""));
-  EXPECT_EQ(Read(), "# test v1 base=8\nx 2\ny 1\n");
-}
-
 TEST_F(IndexFileTest, BlocksOutgrowingTheBaseTriggerARewrite) {
   IndexFile file(path_);
   const std::string base(200, 'r');
@@ -174,10 +164,14 @@ TEST_F(IndexFileTest, MissingFileIsNotFoundAndBadBaseIsParseError) {
   IndexFile missing(dir_ + "/absent.idx");
   IndexFile::Contents contents;
   EXPECT_EQ(missing.Load(&contents).code(), StatusCode::kNotFound);
-  Write("# test v1 base=999\nshort\n");
-  IndexFile file(path_);
-  IndexFile::Contents bad;
-  EXPECT_EQ(file.Load(&bad).code(), StatusCode::kParseError);
+  // A base longer than the file, and a header with no base at all.
+  for (const char* content : {"# test v1 base=999\nshort\n",
+                              "# test v1\nx 1\ny 1\n"}) {
+    Write(content);
+    IndexFile file(path_);
+    IndexFile::Contents bad;
+    EXPECT_EQ(file.Load(&bad).code(), StatusCode::kParseError) << content;
+  }
 }
 
 TEST_F(IndexFileTest, RewriteFailureKeepsTheRewriteDue) {

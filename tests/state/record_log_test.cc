@@ -7,9 +7,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "state/file_io.h"
 
 namespace somr::state {
 namespace {
@@ -24,6 +27,7 @@ class RecordLogTest : public ::testing::Test {
     dir_ = tmpl;
   }
   void TearDown() override {
+    DisarmIoFaults();
     std::string cmd = "rm -rf '" + dir_ + "'";
     std::system(cmd.c_str());
   }
@@ -61,9 +65,9 @@ TEST_F(RecordLogTest, OpenWithoutCreateIsNotFound) {
 TEST_F(RecordLogTest, AppendAndReadChain) {
   RecordLog log(dir_, SmallOptions());
   ASSERT_TRUE(log.Open(/*create=*/true).ok());
-  ASSERT_TRUE(log.Append("k", RecordKind::kFull, "base").ok());
-  ASSERT_TRUE(log.Append("k", RecordKind::kDelta, "d1").ok());
-  ASSERT_TRUE(log.Append("k", RecordKind::kDelta, "d2").ok());
+  ASSERT_TRUE(log.Append("k", RecordKind::kFull, "base", "").ok());
+  ASSERT_TRUE(log.Append("k", RecordKind::kDelta, "d1", "").ok());
+  ASSERT_TRUE(log.Append("k", RecordKind::kDelta, "d2", "").ok());
 
   StatusOr<std::vector<ChainRecord>> chain = log.ReadChain("k");
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
@@ -73,17 +77,20 @@ TEST_F(RecordLogTest, AppendAndReadChain) {
   EXPECT_EQ((*chain)[1].payload, "d1");
   EXPECT_EQ((*chain)[2].kind, RecordKind::kDelta);
   EXPECT_EQ((*chain)[2].payload, "d2");
-  EXPECT_EQ(log.ChainDepth("k"), 3u);
-  EXPECT_GT(log.ChainBytes("k"), 0u);
+  std::optional<ChainEntry> entry = log.Entry("k");
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->depth, 3u);
+  EXPECT_GT(entry->bytes, 0u);
+  EXPECT_FALSE(log.Entry("other").has_value());
   EXPECT_EQ(log.ReadChain("other").status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(RecordLogTest, StartChainSupersedesOldRecords) {
   RecordLog log(dir_, SmallOptions());
   ASSERT_TRUE(log.Open(/*create=*/true).ok());
-  ASSERT_TRUE(log.Append("k", RecordKind::kFull, "old").ok());
-  ASSERT_TRUE(log.Append("k", RecordKind::kDelta, "old-delta").ok());
-  ASSERT_TRUE(log.Append("k", RecordKind::kFull, "new").ok());
+  ASSERT_TRUE(log.Append("k", RecordKind::kFull, "old", "").ok());
+  ASSERT_TRUE(log.Append("k", RecordKind::kDelta, "old-delta", "").ok());
+  ASSERT_TRUE(log.Append("k", RecordKind::kFull, "new", "").ok());
 
   StatusOr<std::vector<ChainRecord>> chain = log.ReadChain("k");
   ASSERT_TRUE(chain.ok());
@@ -101,7 +108,7 @@ TEST_F(RecordLogTest, ChainShapeIsEnforced) {
   RecordLog log(dir_, SmallOptions());
   ASSERT_TRUE(log.Open(/*create=*/true).ok());
   // Delta without a chain.
-  EXPECT_FALSE(log.Append("k", RecordKind::kDelta, "d").ok());
+  EXPECT_FALSE(log.Append("k", RecordKind::kDelta, "d", "").ok());
   EXPECT_FALSE(log.Contains("k"));
 }
 
@@ -109,14 +116,24 @@ TEST_F(RecordLogTest, CommitThenReopenKeepsChains) {
   {
     RecordLog log(dir_, SmallOptions());
     ASSERT_TRUE(log.Open(/*create=*/true).ok());
-    ASSERT_TRUE(log.Append("alpha", RecordKind::kFull, "a-payload").ok());
-    ASSERT_TRUE(log.Append("alpha", RecordKind::kDelta, "a-delta").ok());
-    ASSERT_TRUE(log.Append("beta", RecordKind::kFull, "b-payload").ok());
+    ASSERT_TRUE(log.Append("alpha", RecordKind::kFull, "a-payload", "a 1")
+                    .ok());
+    ASSERT_TRUE(log.Append("alpha", RecordKind::kDelta, "a-delta", "a 2")
+                    .ok());
+    ASSERT_TRUE(log.Append("beta", RecordKind::kFull, "b-payload", "b 1")
+                    .ok());
     ASSERT_TRUE(log.Commit().ok());
   }
   RecordLog reopened(dir_, SmallOptions());
   ASSERT_TRUE(reopened.Open(/*create=*/false).ok());
-  EXPECT_EQ(reopened.ChainDepth("alpha"), 2u);
+  // Each key's row is the one its last append carried.
+  const std::vector<ChainEntry> entries = reopened.Entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].key, "alpha");
+  EXPECT_EQ(entries[0].row, "a 2");
+  EXPECT_EQ(entries[0].depth, 2u);
+  EXPECT_EQ(entries[1].key, "beta");
+  EXPECT_EQ(entries[1].row, "b 1");
   StatusOr<std::vector<ChainRecord>> chain = reopened.ReadChain("alpha");
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
   EXPECT_EQ((*chain)[0].payload, "a-payload");
@@ -130,10 +147,10 @@ TEST_F(RecordLogTest, UncommittedAppendsDroppedOnReopen) {
   {
     RecordLog log(dir_, SmallOptions());
     ASSERT_TRUE(log.Open(/*create=*/true).ok());
-    ASSERT_TRUE(log.Append("durable", RecordKind::kFull, "yes").ok());
+    ASSERT_TRUE(log.Append("durable", RecordKind::kFull, "yes", "").ok());
     ASSERT_TRUE(log.Commit().ok());
     // Appended but never committed: must not survive the "crash".
-    ASSERT_TRUE(log.Append("lost", RecordKind::kFull, "no").ok());
+    ASSERT_TRUE(log.Append("lost", RecordKind::kFull, "no", "").ok());
   }
   RecordLog reopened(dir_, SmallOptions());
   ASSERT_TRUE(reopened.Open(/*create=*/false).ok());
@@ -151,7 +168,8 @@ TEST_F(RecordLogTest, TornFinalRecordIsSkippedNotFatal) {
   {
     RecordLog log(dir_, SmallOptions());
     ASSERT_TRUE(log.Open(/*create=*/true).ok());
-    ASSERT_TRUE(log.Append("k", RecordKind::kFull, "committed payload").ok());
+    ASSERT_TRUE(
+        log.Append("k", RecordKind::kFull, "committed payload", "").ok());
     ASSERT_TRUE(log.Commit().ok());
   }
   const std::string shard_file = OnlyShardFile();
@@ -174,7 +192,7 @@ TEST_F(RecordLogTest, CorruptCommittedRecordIsCleanParseError) {
   RecordLog log(dir_, SmallOptions());
   ASSERT_TRUE(log.Open(/*create=*/true).ok());
   ASSERT_TRUE(log.Append("k", RecordKind::kFull,
-                         "payload long enough to flip a byte inside").ok());
+                         "payload long enough to flip a byte inside", "").ok());
   ASSERT_TRUE(log.Commit().ok());
 
   const std::string shard_file = OnlyShardFile();
@@ -198,12 +216,14 @@ TEST_F(RecordLogTest, AwkwardKeysSurviveTheIndex) {
   {
     RecordLog log(dir_, SmallOptions());
     ASSERT_TRUE(log.Open(/*create=*/true).ok());
-    ASSERT_TRUE(log.Append(awkward, RecordKind::kFull, "payload").ok());
+    ASSERT_TRUE(
+        log.Append(awkward, RecordKind::kFull, "payload", awkward).ok());
     ASSERT_TRUE(log.Commit().ok());
   }
   RecordLog reopened(dir_, SmallOptions());
   ASSERT_TRUE(reopened.Open(/*create=*/false).ok());
   ASSERT_TRUE(reopened.Contains(awkward));
+  EXPECT_EQ(reopened.Entry(awkward)->row, awkward);
   StatusOr<std::vector<ChainRecord>> chain = reopened.ReadChain(awkward);
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
   EXPECT_EQ((*chain)[0].payload, "payload");
@@ -218,7 +238,7 @@ TEST_F(RecordLogTest, CompactionReclaimsSupersededBytes) {
   for (int round = 0; round < 8; ++round) {
     for (const char* key : {"a", "b", "c", "d"}) {
       ASSERT_TRUE(log.Append(key, RecordKind::kFull,
-                             big + key + std::to_string(round)).ok());
+                             big + key + std::to_string(round), "").ok());
     }
   }
   ASSERT_TRUE(log.Commit().ok());
@@ -252,7 +272,9 @@ TEST_F(RecordLogTest, CompactionSurvivesReopen) {
     for (int round = 0; round < 6; ++round) {
       for (const char* key : {"a", "b", "c", "d"}) {
         ASSERT_TRUE(log.Append(key, RecordKind::kFull,
-                               big + key + std::to_string(round)).ok());
+                               big + key + std::to_string(round),
+                               "round " + std::to_string(round))
+                        .ok());
       }
     }
     ASSERT_TRUE(log.Commit().ok());
@@ -267,6 +289,8 @@ TEST_F(RecordLogTest, CompactionSurvivesReopen) {
     StatusOr<std::vector<ChainRecord>> chain = reopened.ReadChain(key);
     ASSERT_TRUE(chain.ok()) << chain.status().ToString();
     EXPECT_EQ((*chain)[0].payload, big + key + "5");
+    // The compaction's whole rewrite of the index keeps each key's row.
+    EXPECT_EQ(reopened.Entry(key)->row, "round 5");
   }
   // Exactly one generation file per shard: old generations are gone.
   size_t rec_files = 0;
@@ -284,7 +308,7 @@ TEST_F(RecordLogTest, StaleGenerationFromCrashedCompactionIsRemoved) {
   {
     RecordLog log(dir_, SmallOptions());
     ASSERT_TRUE(log.Open(/*create=*/true).ok());
-    ASSERT_TRUE(log.Append("k", RecordKind::kFull, "payload").ok());
+    ASSERT_TRUE(log.Append("k", RecordKind::kFull, "payload", "").ok());
     ASSERT_TRUE(log.Commit().ok());
   }
   // Simulate a crash between writing generation 2 and committing the
@@ -307,7 +331,7 @@ TEST_F(RecordLogTest, ConcurrentReadsDuringCompaction) {
   const std::vector<std::string> keys = {"r0", "r1", "r2", "r3",
                                          "r4", "r5", "r6", "r7"};
   for (const std::string& key : keys) {
-    ASSERT_TRUE(log.Append(key, RecordKind::kFull, big + key).ok());
+    ASSERT_TRUE(log.Append(key, RecordKind::kFull, big + key, "").ok());
   }
   ASSERT_TRUE(log.Commit().ok());
 
@@ -331,7 +355,7 @@ TEST_F(RecordLogTest, ConcurrentReadsDuringCompaction) {
   // Writer churn + repeated compaction swaps while readers hammer.
   for (int round = 0; round < 20; ++round) {
     for (const std::string& key : keys) {
-      ASSERT_TRUE(log.Append(key, RecordKind::kFull, big + key).ok());
+      ASSERT_TRUE(log.Append(key, RecordKind::kFull, big + key, "").ok());
     }
     ASSERT_TRUE(log.Commit().ok());
     for (uint32_t shard : log.ShardsNeedingCompaction()) {
@@ -342,6 +366,81 @@ TEST_F(RecordLogTest, ConcurrentReadsDuringCompaction) {
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// Fails each storage call of one compaction in turn: the new generation's
+// pwrites, its fdatasync and the index rewrite. Whichever failed, every
+// chain still reads its latest record, and after one more delta per key
+// and a commit, the reopened log holds that record and the delta.
+TEST_F(RecordLogTest, FailedCompactionKeepsEveryChainOnItsLatestRecords) {
+  RecordLog::Options options = SmallOptions();
+  options.shard_count = 1;
+  const std::vector<std::string> keys = {"a", "b", "c", "d"};
+  auto full = [](const std::string& key, int round) {
+    return std::string(200, 'p') + key + std::to_string(round);
+  };
+  // A fresh log whose one shard holds three full records per key, the
+  // first two superseded.
+  const std::string dir = dir_ + "/compact";
+  auto populate = [&] {
+    fs::remove_all(dir);
+    auto log = std::make_unique<RecordLog>(dir, options);
+    EXPECT_TRUE(log->Open(/*create=*/true).ok());
+    for (int round = 0; round < 3; ++round) {
+      for (const std::string& key : keys) {
+        EXPECT_TRUE(
+            log->Append(key, RecordKind::kFull, full(key, round), "").ok());
+      }
+    }
+    EXPECT_TRUE(log->Commit().ok());
+    return log;
+  };
+  auto expect_latest = [&](const RecordLog& log, bool with_delta,
+                           const std::string& where) {
+    for (const std::string& key : keys) {
+      StatusOr<std::vector<ChainRecord>> chain = log.ReadChain(key);
+      ASSERT_TRUE(chain.ok()) << where << ": " << chain.status().ToString();
+      ASSERT_EQ(chain->size(), with_delta ? 2u : 1u) << where << ": " << key;
+      EXPECT_EQ((*chain)[0].payload, full(key, 2)) << where << ": " << key;
+      if (with_delta) {
+        EXPECT_EQ((*chain)[1].payload, "delta " + key) << where;
+      }
+    }
+  };
+
+  uint64_t calls = 0;
+  {
+    std::unique_ptr<RecordLog> log = populate();
+    ArmIoFaults(0);
+    ASSERT_TRUE(log->Compact(0).ok());
+    calls = DisarmIoFaults();
+  }
+  ASSERT_GT(calls, keys.size());
+  for (IoFault fault : {IoFault::kError, IoFault::kShortWrite}) {
+    for (uint64_t n = 1; n <= calls; ++n) {
+      const std::string where =
+          "call " + std::to_string(n) + " of " + std::to_string(calls) +
+          (fault == IoFault::kError ? " (error)" : " (short write)");
+      {
+        std::unique_ptr<RecordLog> log = populate();
+        ArmIoFaults(n, fault);
+        const bool compacted = log->Compact(0).ok();
+        DisarmIoFaults();
+        EXPECT_FALSE(compacted) << where;
+        expect_latest(*log, /*with_delta=*/false, where);
+        for (const std::string& key : keys) {
+          ASSERT_TRUE(
+              log->Append(key, RecordKind::kDelta, "delta " + key, "").ok())
+              << where;
+        }
+        ASSERT_TRUE(log->Commit().ok()) << where;
+        expect_latest(*log, /*with_delta=*/true, where);
+      }
+      RecordLog reopened(dir, options);
+      ASSERT_TRUE(reopened.Open(/*create=*/false).ok()) << where;
+      expect_latest(reopened, /*with_delta=*/true, where);
+    }
+  }
 }
 
 TEST_F(RecordLogTest, EscapeKeyRoundTrips) {

@@ -1,11 +1,14 @@
-// Crash and syscall-failure recovery of a ContextStore: a torn or
-// corrupt final commit block in either index file, a store written before
-// index files had blocks, and a sweep that fails every storage syscall of
-// a fixed save/commit/compact sequence in turn.
+// Crash, syscall-failure and corruption recovery of a ContextStore: a
+// torn or corrupt final commit block of the index, a sweep that fails
+// every storage syscall of a fixed save/commit/compact sequence in turn,
+// and seeded mutants of the whole index.
 
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
+#include <cctype>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "state/context_store.h"
 #include "state/file_io.h"
@@ -78,7 +83,7 @@ class StoreDurabilityTest : public ::testing::Test {
     return out;
   }
 
-  // What the manifest says for each page of `names`.
+  // What the index lists for each page of `names`.
   static Expected Listed(const ContextStore& store,
                          const std::vector<std::string>& names) {
     Expected out;
@@ -92,16 +97,14 @@ class StoreDurabilityTest : public ::testing::Test {
   std::string dir_;
 };
 
-// Truncating either index file anywhere inside its last block, or
-// flipping any one byte there, reopens on the previous commit. The index
-// is cut as a crash during its append would leave it: the manifest block
-// of that commit was never written.
+// Truncating the index anywhere inside its last block, or flipping any
+// one byte there, reopens on the previous commit.
 TEST_F(StoreDurabilityTest, LastBlockTornOrFlippedLandsOnPreviousCommit) {
   const std::string pristine = dir_ + "/pristine";
   StoreOptions options;
   options.shard_count = 2;
   std::vector<std::string> names;
-  uint64_t index_before = 0, manifest_before = 0;
+  uint64_t before = 0;
   {
     ContextStore store(pristine, {}, options);
     ASSERT_TRUE(store.Open(/*create=*/true).ok());
@@ -110,123 +113,58 @@ TEST_F(StoreDurabilityTest, LastBlockTornOrFlippedLandsOnPreviousCommit) {
       ASSERT_TRUE(store.SaveUncommitted(MakeState(names.back(), 1)).ok());
     }
     ASSERT_TRUE(store.Commit().ok());
-    index_before = fs::file_size(pristine + "/records.idx");
-    manifest_before = fs::file_size(pristine + "/manifest.tsv");
+    before = fs::file_size(pristine + "/records.idx");
     names.push_back("New page");
     ASSERT_TRUE(store.SaveUncommitted(MakeState("Page 0", 2)).ok());
     ASSERT_TRUE(store.SaveUncommitted(MakeState("New page", 1)).ok());
     ASSERT_TRUE(store.Commit().ok());
-    // The last commit appended a block to each file.
+    // The last commit appended a block.
     ContextStore::StoreStats stats = store.Stats();
     ASSERT_EQ(stats.index.base_bytes + stats.index.block_bytes,
               fs::file_size(pristine + "/records.idx"));
     ASSERT_GT(stats.index.block_bytes, 0u);
-    ASSERT_GT(stats.manifest.block_bytes, 0u);
   }
   Expected previous;
   for (int i = 0; i < 12; ++i) previous["Page " + std::to_string(i)] = 1;
   const std::string index = Read(pristine + "/records.idx");
-  const std::string manifest = Read(pristine + "/manifest.tsv");
-  ASSERT_GT(index.size(), index_before);
-  ASSERT_GT(manifest.size(), manifest_before);
+  ASSERT_GT(index.size(), before);
 
-  struct Case {
-    std::string file;        // the file whose last block is damaged
-    std::string content;     // its bytes at the last commit
-    uint64_t before = 0;     // its size at the previous commit
-  };
-  const Case cases[] = {{"records.idx", index, index_before},
-                        {"manifest.tsv", manifest, manifest_before}};
   int reopened = 0;
-  for (const Case& c : cases) {
-    for (int flip = 0; flip < 2; ++flip) {
-      for (uint64_t at = c.before; at < c.content.size(); ++at) {
-        const std::string work = dir_ + "/work";
-        fs::remove_all(work);
-        fs::copy(pristine, work);
-        std::string damaged = c.content;
-        if (flip == 1) {
-          damaged[at] = static_cast<char>(damaged[at] ^ 0x01);
-        } else {
-          damaged.resize(at);
-        }
-        Write(work + "/" + c.file, damaged);
-        if (c.file == "records.idx") {
-          Write(work + "/manifest.tsv", manifest.substr(0, manifest_before));
-        }
-        const std::string where =
-            c.file + (flip == 1 ? " flip at " : " cut at ") +
-            std::to_string(at);
-
-        ContextStore store(work, {}, options);
-        Status open = store.Open(/*create=*/false);
-        ASSERT_TRUE(open.ok()) << where << ": " << open.ToString();
-        EXPECT_EQ(fs::file_size(work + "/" + c.file), c.before) << where;
-        EXPECT_EQ(Listed(store, names), previous) << where;
-        if (c.file == "records.idx") {
-          EXPECT_EQ(Loaded(store, names), previous) << where;
-        }
-        // Every so often: the recovered store takes the next commit.
-        if ((at - c.before) % 16 == 0) {
-          ASSERT_TRUE(store.Save(MakeState("Page 3", 5)).ok()) << where;
-          ContextStore again(work, {}, options);
-          ASSERT_TRUE(again.Open(/*create=*/false).ok()) << where;
-          Expected next = previous;
-          next["Page 3"] = 5;
-          EXPECT_EQ(Listed(again, names), next) << where;
-          EXPECT_EQ(Loaded(again, {"Page 3"}).at("Page 3"), 5) << where;
-        }
-        ++reopened;
+  for (int flip = 0; flip < 2; ++flip) {
+    for (uint64_t at = before; at < index.size(); ++at) {
+      const std::string work = dir_ + "/work";
+      fs::remove_all(work);
+      fs::copy(pristine, work);
+      std::string damaged = index;
+      if (flip == 1) {
+        damaged[at] = static_cast<char>(damaged[at] ^ 0x01);
+      } else {
+        damaged.resize(at);
       }
+      Write(work + "/records.idx", damaged);
+      const std::string where =
+          (flip == 1 ? "flip at " : "cut at ") + std::to_string(at);
+
+      ContextStore store(work, {}, options);
+      Status open = store.Open(/*create=*/false);
+      ASSERT_TRUE(open.ok()) << where << ": " << open.ToString();
+      EXPECT_EQ(fs::file_size(work + "/records.idx"), before) << where;
+      EXPECT_EQ(Listed(store, names), previous) << where;
+      EXPECT_EQ(Loaded(store, names), previous) << where;
+      // Every so often: the recovered store takes the next commit.
+      if ((at - before) % 16 == 0) {
+        ASSERT_TRUE(store.Save(MakeState("Page 3", 5)).ok()) << where;
+        ContextStore again(work, {}, options);
+        ASSERT_TRUE(again.Open(/*create=*/false).ok()) << where;
+        Expected next = previous;
+        next["Page 3"] = 5;
+        EXPECT_EQ(Listed(again, names), next) << where;
+        EXPECT_EQ(Loaded(again, {"Page 3"}).at("Page 3"), 5) << where;
+      }
+      ++reopened;
     }
   }
   EXPECT_GT(reopened, 100);
-}
-
-// A store whose index files hold no blocks, as stores were written before
-// commit blocks existed, opens, loads, and takes saves and commits.
-TEST_F(StoreDurabilityTest, StoreWithoutBlocksOpensAndCommits) {
-  {
-    ContextStore store(dir_);
-    ASSERT_TRUE(store.Open(/*create=*/true).ok());
-    ASSERT_TRUE(store.SaveUncommitted(MakeState("Alpha", 2)).ok());
-    ASSERT_TRUE(store.SaveUncommitted(MakeState("Beta", 3)).ok());
-    // Enough pages that the commit's blocks would outgrow the fresh
-    // bases, so both files are rewritten whole.
-    for (int i = 0; i < 20; ++i) {
-      ASSERT_TRUE(
-          store.SaveUncommitted(MakeState("Filler " + std::to_string(i), 1))
-              .ok());
-    }
-    ASSERT_TRUE(store.Commit().ok());
-    ContextStore::StoreStats stats = store.Stats();
-    ASSERT_EQ(stats.index.block_bytes, 0u);
-    ASSERT_EQ(stats.manifest.block_bytes, 0u);
-  }
-  // Drop the base= field from both headers: the older format.
-  for (const char* name : {"/records.idx", "/manifest.tsv"}) {
-    std::string content = Read(dir_ + name);
-    const size_t eol = content.find('\n');
-    const size_t field = content.rfind(" base=", eol);
-    ASSERT_NE(field, std::string::npos) << name;
-    content.erase(field, eol - field);
-    Write(dir_ + name, content);
-  }
-  {
-    ContextStore store(dir_);
-    ASSERT_TRUE(store.Open(/*create=*/false).ok());
-    EXPECT_EQ(Loaded(store, {"Alpha", "Beta"}),
-              (Expected{{"Alpha", 2}, {"Beta", 3}}));
-    ASSERT_TRUE(store.Save(MakeState("Alpha", 4)).ok());
-    ASSERT_TRUE(store.SaveUncommitted(MakeState("Gamma", 1)).ok());
-    ASSERT_TRUE(store.Commit().ok());
-  }
-  ContextStore store(dir_);
-  ASSERT_TRUE(store.Open(/*create=*/false).ok());
-  const Expected expected = {{"Alpha", 4}, {"Beta", 3}, {"Gamma", 1}};
-  EXPECT_EQ(Loaded(store, {"Alpha", "Beta", "Gamma"}), expected);
-  EXPECT_EQ(Listed(store, {"Alpha", "Beta", "Gamma"}), expected);
-  EXPECT_NE(Read(dir_ + "/records.idx").find(" base="), std::string::npos);
 }
 
 // Fails the Nth storage syscall (pwrite, fdatasync, fsync, rename,
@@ -290,6 +228,8 @@ TEST_F(StoreDurabilityTest, EveryFailedSyscallRecoversToACommit) {
       ASSERT_TRUE(open.ok()) << where << ": " << open.ToString();
       const Expected loaded = Loaded(store, names);
       const Expected listed = Listed(store, names);
+      // A page's listing and its chain come from one index row.
+      EXPECT_EQ(listed, loaded) << where;
       for (const std::string& name : names) {
         // 0 stands for "absent".
         auto at = [&name](const Expected& pages) {
@@ -306,8 +246,194 @@ TEST_F(StoreDurabilityTest, EveryFailedSyscallRecoversToACommit) {
       // The recovered store is writable.
       ASSERT_TRUE(store.Save(MakeState("Delta", 1)).ok()) << where;
     }
-    EXPECT_GT(swept, 20u);
+    // Every call of the sequence: two record pwrites, the shard's
+    // fdatasync and an index rewrite (pwrite, fsync, rename, directory
+    // fsync); two record pwrites, the fdatasync and an index block
+    // (pwrite, fdatasync); then the compaction's three record pwrites,
+    // the new generation's one fdatasync and an index rewrite.
+    EXPECT_EQ(swept, 20u);
   }
+}
+
+// records.idx split into its parts: the header line without its base=
+// field, the base rows, and each block's rows.
+struct IndexParts {
+  std::string header;
+  std::vector<std::string> rows;  // [0] is the base, then each block
+};
+
+IndexParts SplitIndex(const std::string& data) {
+  IndexParts parts;
+  size_t eol = data.find('\n');
+  const std::string header = data.substr(0, eol);
+  const size_t field = header.rfind(" base=");
+  parts.header = header.substr(0, field);
+  size_t at = eol + 1;
+  const size_t base = std::stoul(header.substr(field + 6));
+  parts.rows.push_back(data.substr(at, base));
+  at += base;
+  while (at < data.size()) {
+    eol = data.find('\n', at);
+    const std::string tag = data.substr(at, eol - at);  // "#block L sum"
+    const size_t length = std::stoul(tag.substr(7, tag.rfind(' ') - 7));
+    parts.rows.push_back(data.substr(eol + 1, length));
+    at = eol + 1 + length;
+  }
+  return parts;
+}
+
+// The file for `parts`, with each part's length and checksum recomputed.
+std::string JoinIndex(const IndexParts& parts) {
+  std::string out = parts.header + " base=" +
+                    std::to_string(parts.rows[0].size()) + "\n" +
+                    parts.rows[0];
+  for (size_t i = 1; i < parts.rows.size(); ++i) {
+    char checksum[17];
+    std::snprintf(checksum, sizeof checksum, "%016llx",
+                  static_cast<unsigned long long>(Fnv1a64(parts.rows[i])));
+    out += "#block " + std::to_string(parts.rows[i].size()) + " " +
+           checksum + "\n" + parts.rows[i];
+  }
+  return out;
+}
+
+// One seeded mutation of `text`: a bit flip, a truncation, a splice of
+// another stretch of it, or a digit run inflated past any plausible
+// count, offset or id.
+void Mutate(std::string& text, Rng& rng) {
+  if (text.empty()) return;
+  switch (rng.Index(4)) {
+    case 0: {
+      const size_t at = rng.Index(text.size());
+      text[at] = static_cast<char>(text[at] ^ (1 << rng.Index(8)));
+      break;
+    }
+    case 1:
+      text.resize(rng.Index(text.size()));
+      break;
+    case 2: {
+      const size_t from = rng.Index(text.size());
+      const size_t len =
+          1 + rng.Index(std::min<size_t>(32, text.size() - from));
+      const std::string stretch = text.substr(from, len);
+      text.replace(rng.Index(text.size()), rng.Index(33), stretch);
+      break;
+    }
+    default: {
+      std::vector<std::pair<size_t, size_t>> runs;  // (begin, length)
+      for (size_t i = 0; i < text.size();) {
+        size_t j = i;
+        while (j < text.size() &&
+               std::isdigit(static_cast<unsigned char>(text[j]))) {
+          ++j;
+        }
+        if (j > i) runs.emplace_back(i, j - i);
+        i = j + 1;
+      }
+      if (runs.empty()) return;
+      const auto [begin, length] = runs[rng.Index(runs.size())];
+      const char* inflated[] = {"4294967296", "9223372036854775807",
+                                "18446744073709551615",
+                                "99999999999999999999999999"};
+      text.replace(begin, length, inflated[rng.Index(4)]);
+      break;
+    }
+  }
+}
+
+// Seeded mutants of a 30-page store's index, in its base and in its
+// blocks: resealed ones (lengths and checksums recomputed, so only the
+// row parsers stand between a mutant and an open store) and raw ones
+// (the framing is left to catch them). Each mutant either fails to open,
+// or opens a store where every listed page loads or returns an error.
+TEST_F(StoreDurabilityTest, IndexMutantsFailToOpenOrLoadOrError) {
+  constexpr int kMutants = 900;
+  const std::string pristine = dir_ + "/pristine";
+  StoreOptions options;
+  options.shard_count = 3;
+  {
+    ContextStore store(pristine, {}, options);
+    ASSERT_TRUE(store.Open(/*create=*/true).ok());
+    for (int i = 0; i < 30; ++i) {
+      ASSERT_TRUE(
+          store.SaveUncommitted(MakeState("Page " + std::to_string(i), 1))
+              .ok());
+    }
+    ASSERT_TRUE(store.Commit().ok());
+    // Three blocks: saves of a few pages, the last re-saved twice, so
+    // deltas ride along.
+    for (int commit = 0; commit < 3; ++commit) {
+      for (int i = commit; i < 30; i += 7) {
+        ASSERT_TRUE(store.SaveUncommitted(
+                             MakeState("Page " + std::to_string(i),
+                                       2 + commit))
+                        .ok());
+      }
+      ASSERT_TRUE(store.Commit().ok());
+    }
+  }
+  const std::string index = Read(pristine + "/records.idx");
+  const IndexParts parts = SplitIndex(index);
+  ASSERT_EQ(JoinIndex(parts), index);
+  ASSERT_EQ(parts.rows.size(), 4u);
+  // Where each part ends in the file, framing line included: the header
+  // line and the base rows, then each block's tag line and rows.
+  std::vector<size_t> bounds = {0};
+  size_t end = index.find('\n') + 1 + parts.rows[0].size();
+  bounds.push_back(end);
+  for (size_t p = 1; p < parts.rows.size(); ++p) {
+    end = index.find('\n', end) + 1 + parts.rows[p].size();
+    bounds.push_back(end);
+  }
+  ASSERT_EQ(bounds.back(), index.size());
+
+  Rng rng(20261020);
+  const auto started = std::chrono::steady_clock::now();
+  int opened = 0, refused = 0, loaded = 0, load_errors = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const size_t part = rng.Index(parts.rows.size());
+    std::string mutant;
+    if (rng.Bernoulli(0.75)) {
+      IndexParts mutated = parts;
+      Mutate(mutated.rows[part], rng);
+      mutant = JoinIndex(mutated);
+    } else {
+      std::string text =
+          index.substr(bounds[part], bounds[part + 1] - bounds[part]);
+      Mutate(text, rng);
+      mutant = index.substr(0, bounds[part]) + text +
+               index.substr(bounds[part + 1]);
+    }
+    const std::string work = dir_ + "/work";
+    fs::remove_all(work);
+    fs::copy(pristine, work);
+    Write(work + "/records.idx", mutant);
+
+    ContextStore store(work, {}, options);
+    if (!store.Open(/*create=*/false).ok()) {
+      ++refused;
+      continue;
+    }
+    ++opened;
+    for (const ContextStore::PageInfo& page : store.Pages()) {
+      ASSERT_TRUE(store.Lookup(page.title).has_value()) << "mutant " << i;
+      StatusOr<PageState> state = store.Load(page.title);
+      if (state.ok()) {
+        ++loaded;
+        EXPECT_EQ(state->title, page.title) << "mutant " << i;
+      } else {
+        ++load_errors;
+      }
+    }
+  }
+  EXPECT_GT(opened, 0);
+  EXPECT_GT(refused, 0);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - started)
+                             .count();
+  std::printf("%d mutants: %d refused, %d opened (%d loads, %d load errors), "
+              "%.2f s\n",
+              kMutants, refused, opened, loaded, load_errors, seconds);
 }
 
 }  // namespace

@@ -169,14 +169,11 @@ int RunStatus(const state::ContextStore& store, const FlagParser& flags) {
               static_cast<unsigned long long>(stats.live_bytes),
               static_cast<unsigned long long>(stats.superseded_bytes),
               static_cast<unsigned long long>(stats.max_delta_depth));
-  // Commit log: each index file is a base plus one block per commit since
-  // it was last rewritten.
-  std::printf("index files: records.idx %llu base + %llu block bytes, "
-              "manifest.tsv %llu base + %llu block bytes\n",
+  // Commit log: the index is a base plus one block per commit since it
+  // was last rewritten.
+  std::printf("index: records.idx %llu base + %llu block bytes\n",
               static_cast<unsigned long long>(stats.index.base_bytes),
-              static_cast<unsigned long long>(stats.index.block_bytes),
-              static_cast<unsigned long long>(stats.manifest.base_bytes),
-              static_cast<unsigned long long>(stats.manifest.block_bytes));
+              static_cast<unsigned long long>(stats.index.block_bytes));
   for (const state::ShardStats& shard : stats.shards) {
     std::printf("  shard %03u: %8llu bytes  %8llu live  %8llu superseded  "
                 "%4llu records  %llu compactions%s%s\n",
