@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -28,6 +29,93 @@ struct ShardHandle {
 MetricShard& LocalShard() {
   thread_local ShardHandle handle;
   return *handle.shard;
+}
+
+int64_t WindowNowSeconds() {
+  return std::chrono::duration_cast<std::chrono::seconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+WindowRing::WindowRing(size_t buckets, double growth, double slo_threshold)
+    : buckets_(buckets),
+      growth_(growth),
+      slo_threshold_(slo_threshold),
+      counts_(kWindowSlots * buckets, 0) {}
+
+void WindowRing::Add(size_t bucket, double v, int64_t now_s) {
+  const int64_t epoch = now_s / kWindowSlotSeconds;
+  const size_t slot_index = static_cast<size_t>(epoch) % kWindowSlots;
+  std::lock_guard<std::mutex> lock(mu_);
+  uint64_t* counts = &counts_[slot_index * buckets_];
+  Slot& slot = slots_[slot_index];
+  if (slot.epoch != epoch) {
+    // The slot last served an epoch a whole ring ago (or never).
+    slot = Slot{};
+    slot.epoch = epoch;
+    std::fill(counts, counts + buckets_, uint64_t{0});
+  }
+  ++slot.count;
+  slot.sum += v;
+  if (slo_threshold_ > 0.0 && v > slo_threshold_) ++slot.slo_violations;
+  ++counts[bucket];
+}
+
+WindowStats WindowRing::StatsAt(const std::vector<double>& bounds,
+                                int64_t horizon_seconds,
+                                int64_t now_s) const {
+  const int64_t now_epoch = now_s / kWindowSlotSeconds;
+  const int64_t epochs = std::clamp<int64_t>(
+      (horizon_seconds + kWindowSlotSeconds - 1) / kWindowSlotSeconds, 1,
+      static_cast<int64_t>(kWindowSlots));
+  WindowStats stats;
+  std::vector<uint64_t> merged(buckets_, 0);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (int64_t back = 0; back < epochs; ++back) {
+      const int64_t epoch = now_epoch - back;
+      if (epoch < 0) break;
+      const size_t slot_index = static_cast<size_t>(epoch) % kWindowSlots;
+      const Slot& slot = slots_[slot_index];
+      if (slot.epoch != epoch) continue;  // stale or never written
+      stats.count += slot.count;
+      stats.sum += slot.sum;
+      stats.slo_violations += slot.slo_violations;
+      for (size_t b = 0; b < buckets_; ++b) {
+        merged[b] += counts_[slot_index * buckets_ + b];
+      }
+    }
+  }
+  if (stats.count == 0) return stats;
+  // Rank of the target observation, then linear interpolation inside its
+  // bucket: bucket 0 spans [0, bounds[0]], bucket b (bounds[b-1],
+  // bounds[b]], and the overflow bucket is capped one growth step above
+  // the last bound.
+  const auto percentile = [&](double q) {
+    const double target = q * static_cast<double>(stats.count);
+    double cumulative = 0.0;
+    for (size_t b = 0; b < buckets_; ++b) {
+      const double lower = b == 0 ? 0.0 : bounds[b - 1];
+      const double upper =
+          b < bounds.size() ? bounds[b] : bounds.back() * growth_;
+      const double in_bucket = static_cast<double>(merged[b]);
+      if (in_bucket > 0.0 && cumulative + in_bucket >= target) {
+        return lower + (target - cumulative) / in_bucket * (upper - lower);
+      }
+      cumulative += in_bucket;
+    }
+    return bounds.back() * growth_;  // unreachable when count > 0
+  };
+  stats.p50 = percentile(0.50);
+  stats.p95 = percentile(0.95);
+  stats.p99 = percentile(0.99);
+  return stats;
+}
+
+void WindowRing::Clear() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (Slot& slot : slots_) slot = Slot{};
+  std::fill(counts_.begin(), counts_.end(), uint64_t{0});
 }
 
 }  // namespace internal
@@ -74,13 +162,7 @@ Counter* MetricsRegistry::GetCounter(const std::string& name,
   if (next_u64_cell_ < internal::kMaxU64Cells) {
     c.cell_ = next_u64_cell_++;
   } else {
-    if (!budget_warning_emitted_) {
-      std::fprintf(stderr,
-                   "somr obs: metric cell budget exhausted at \"%s\"; "
-                   "further metrics read as 0\n",
-                   name.c_str());
-      budget_warning_emitted_ = true;
-    }
+    WarnBudgetLocked(name);
     c.cell_ = 0;  // scratch sink
   }
   counters_.push_back(std::move(c));
@@ -104,11 +186,26 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          const std::string& help,
                                          double first_bound, double growth,
                                          int bucket_count) {
+  return FindOrAddHistogram(name, help, first_bound, growth, bucket_count,
+                            /*windowed=*/false, 0.0);
+}
+
+Histogram* MetricsRegistry::GetWindowedHistogram(
+    const std::string& name, const std::string& help, double first_bound,
+    double growth, int bucket_count, double slo_threshold) {
+  return FindOrAddHistogram(name, help, first_bound, growth, bucket_count,
+                            /*windowed=*/true, slo_threshold);
+}
+
+Histogram* MetricsRegistry::FindOrAddHistogram(
+    const std::string& name, const std::string& help, double first_bound,
+    double growth, int bucket_count, bool windowed, double slo_threshold) {
   std::lock_guard<std::mutex> lock(mu_);
   for (Histogram& h : histograms_) {
     if (h.name_ == name) return &h;
   }
-  Histogram h;
+  histograms_.emplace_back();
+  Histogram& h = histograms_.back();
   h.name_ = name;
   h.help_ = help;
   if (bucket_count < 1) bucket_count = 1;
@@ -128,18 +225,24 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
     next_u64_cell_ += cells;
     h.sum_cell_ = next_f64_cell_++;
   } else {
-    if (!budget_warning_emitted_) {
-      std::fprintf(stderr,
-                   "somr obs: metric cell budget exhausted at \"%s\"; "
-                   "further metrics read as 0\n",
-                   name.c_str());
-      budget_warning_emitted_ = true;
-    }
+    WarnBudgetLocked(name);
     h.first_cell_ = 0;
     h.sum_cell_ = 0;
   }
-  histograms_.push_back(std::move(h));
-  return &histograms_.back();
+  if (windowed) {
+    h.window_ =
+        std::make_unique<internal::WindowRing>(cells, growth, slo_threshold);
+  }
+  return &h;
+}
+
+void MetricsRegistry::WarnBudgetLocked(const std::string& name) {
+  if (budget_warning_emitted_) return;
+  std::fprintf(stderr,
+               "somr obs: metric cell budget exhausted at \"%s\"; further "
+               "metrics read as 0\n",
+               name.c_str());
+  budget_warning_emitted_ = true;
 }
 
 uint64_t MetricsRegistry::SumU64Locked(uint32_t cell) const {
@@ -168,6 +271,7 @@ uint64_t Counter::Value() const {
 
 MetricsSnapshot MetricsRegistry::Scrape() const {
   MetricsSnapshot snapshot;
+  const int64_t now_s = internal::WindowNowSeconds();
   std::lock_guard<std::mutex> lock(mu_);
   for (const Counter& c : counters_) {
     snapshot.counters.push_back({c.name_, c.help_, SumU64Locked(c.cell_)});
@@ -190,6 +294,11 @@ MetricsSnapshot MetricsRegistry::Scrape() const {
       row.total_count += count;
     }
     row.sum = SumF64Locked(h.sum_cell_);
+    if (h.window_ != nullptr) {
+      for (const WindowHorizon& horizon : kWindowHorizons) {
+        row.windows.push_back(h.WindowStatsAt(horizon.seconds, now_s));
+      }
+    }
     snapshot.histograms.push_back(std::move(row));
   }
   auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };
@@ -208,6 +317,9 @@ void MetricsRegistry::ResetValuesForTest() {
   zero(retired_);
   for (internal::MetricShard* shard : live_shards_) zero(*shard);
   for (Gauge& g : gauges_) g.value_.store(0.0, std::memory_order_relaxed);
+  for (Histogram& h : histograms_) {
+    if (h.window_ != nullptr) h.window_->Clear();
+  }
 }
 
 namespace {
@@ -227,21 +339,27 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
+/// The metric family a series belongs to: its name without labels. The
+/// text format names only the family on # HELP and # TYPE lines.
+std::string FamilyName(const std::string& series) {
+  return series.substr(0, series.find('{'));
+}
+
 }  // namespace
 
 std::string RenderMetricsText(const MetricsSnapshot& snapshot) {
   std::string out;
   char line[256];
   for (const auto& c : snapshot.counters) {
-    out += "# HELP " + c.name + " " + c.help + "\n";
-    out += "# TYPE " + c.name + " counter\n";
+    out += "# HELP " + FamilyName(c.name) + " " + c.help + "\n";
+    out += "# TYPE " + FamilyName(c.name) + " counter\n";
     std::snprintf(line, sizeof(line), "%s %" PRIu64 "\n", c.name.c_str(),
                   c.value);
     out += line;
   }
   for (const auto& g : snapshot.gauges) {
-    out += "# HELP " + g.name + " " + g.help + "\n";
-    out += "# TYPE " + g.name + " gauge\n";
+    out += "# HELP " + FamilyName(g.name) + " " + g.help + "\n";
+    out += "# TYPE " + FamilyName(g.name) + " gauge\n";
     out += g.name + " " + FormatDouble(g.value) + "\n";
   }
   for (const auto& h : snapshot.histograms) {
@@ -313,6 +431,31 @@ std::string RenderMetricsJson(const MetricsSnapshot& snapshot) {
     first = false;
   }
   out += first ? "}\n}\n" : "\n  }\n}\n";
+  return out;
+}
+
+std::string RenderWindowJson(const MetricsSnapshot& snapshot) {
+  std::string out = "{\n  \"windows\": {";
+  char buf[256];
+  bool first = true;
+  for (const auto& h : snapshot.histograms) {
+    if (h.windows.empty()) continue;
+    out += first ? "\n" : ",\n";
+    first = false;
+    out += "    \"" + JsonEscape(h.name) + "\": {";
+    for (size_t i = 0; i < h.windows.size(); ++i) {
+      const WindowStats& w = h.windows[i];
+      std::snprintf(buf, sizeof(buf),
+                    "%s\"%s\": {\"count\": %" PRIu64
+                    ", \"sum\": %.6f, \"p50\": %.6f, \"p95\": %.6f, "
+                    "\"p99\": %.6f, \"slo_violations\": %" PRIu64 "}",
+                    i == 0 ? "" : ", ", kWindowHorizons[i].key, w.count,
+                    w.sum, w.p50, w.p95, w.p99, w.slo_violations);
+      out += buf;
+    }
+    out += "}";
+  }
+  out += "\n  }\n}\n";
   return out;
 }
 

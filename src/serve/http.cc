@@ -115,17 +115,6 @@ bool ParseChunkSize(std::string_view line, size_t* out) {
   return true;
 }
 
-/// Shared body-framing step for request and response parsers: consumes
-/// from data[*used..size) according to the current state. Returns false
-/// when it needs more input.
-struct BodyFramer {
-  std::string* body;
-  size_t* body_remaining;
-  size_t* chunk_padding;
-  std::string* line_buffer;
-  size_t max_body;
-};
-
 }  // namespace
 
 const std::string& HttpRequest::Header(const std::string& name) const {
@@ -177,79 +166,64 @@ std::string SerializeResponse(const HttpResponse& response) {
   return out;
 }
 
-// --- HttpRequestParser -----------------------------------------------------
+// --- HttpMessageParser -----------------------------------------------------
 
-void HttpRequestParser::Fail(std::string message) {
+void HttpMessageParser::Fail(std::string message) {
   state_ = State::kError;
   error_ = std::move(message);
 }
 
-void HttpRequestParser::Reset() {
+void HttpMessageParser::ResetFraming() {
   state_ = State::kHeaders;
   buffer_.clear();
-  request_ = HttpRequest{};
   error_.clear();
   body_remaining_ = 0;
   chunk_padding_ = 0;
 }
 
-bool HttpRequestParser::ParseHeaderBlock() {
+void HttpMessageParser::ParseHeaderBlock() {
   std::vector<std::string_view> lines = HeaderLines(buffer_);
   if (lines.empty()) {
-    Fail("empty request");
-    return false;
+    Fail("empty message");
+    return;
   }
-  // Request line: METHOD SP target SP HTTP/x.y
-  std::string_view line = lines[0];
-  size_t sp1 = line.find(' ');
-  size_t sp2 = sp1 == std::string_view::npos ? std::string_view::npos
-                                             : line.find(' ', sp1 + 1);
-  if (sp2 == std::string_view::npos ||
-      line.find(' ', sp2 + 1) != std::string_view::npos) {
-    Fail("malformed request line");
-    return false;
-  }
-  request_.method = std::string(line.substr(0, sp1));
-  request_.target = std::string(line.substr(sp1 + 1, sp2 - sp1 - 1));
-  request_.version = std::string(line.substr(sp2 + 1));
-  if (request_.method.empty() || request_.target.empty() ||
-      request_.version.rfind("HTTP/", 0) != 0) {
-    Fail("malformed request line");
-    return false;
-  }
-  if (!ParseHeaderFields(lines, 1, &request_.headers)) {
+  if (!ParseStartLine(lines[0])) return;
+  HeaderList& headers = MutableHeaders();
+  if (!ParseHeaderFields(lines, 1, &headers)) {
     Fail("malformed header line");
-    return false;
+    return;
   }
 
-  const std::string& te = ToLower(request_.Header("transfer-encoding"));
-  const std::string& cl = request_.Header("content-length");
+  const std::string te = ToLower(HeaderValue(headers, "transfer-encoding"));
+  const std::string& cl = HeaderValue(headers, "content-length");
   if (!te.empty()) {
     if (te != "chunked") {
       Fail("unsupported transfer-encoding: " + te);
-      return false;
+      return;
     }
     state_ = State::kChunkHeader;
   } else if (!cl.empty()) {
     size_t length = 0;
     if (!ParseSize(cl, &length)) {
       Fail("invalid content-length");
-      return false;
+      return;
     }
     if (length > limits_.max_body_bytes) {
       Fail("body exceeds limit");
-      return false;
+      return;
     }
     body_remaining_ = length;
     state_ = length == 0 ? State::kDone : State::kBody;
   } else {
+    // No framing headers: an empty body (the client never sends requests
+    // whose responses are EOF-delimited).
     state_ = State::kDone;
   }
   buffer_.clear();
-  return true;
 }
 
-size_t HttpRequestParser::Feed(const char* data, size_t size) {
+size_t HttpMessageParser::Feed(const char* data, size_t size) {
+  std::string& body = MutableBody();
   size_t used = 0;
   while (used < size && state_ != State::kDone && state_ != State::kError) {
     switch (state_) {
@@ -274,7 +248,7 @@ size_t HttpRequestParser::Feed(const char* data, size_t size) {
       }
       case State::kBody: {
         size_t take = std::min(size - used, body_remaining_);
-        request_.body.append(data + used, take);
+        body.append(data + used, take);
         used += take;
         body_remaining_ -= take;
         if (body_remaining_ == 0) state_ = State::kDone;
@@ -310,7 +284,7 @@ size_t HttpRequestParser::Feed(const char* data, size_t size) {
         // Subtraction form: body.size() never exceeds the limit (earlier
         // checks enforce it), and `chunk` can be up to SIZE_MAX, so the
         // additive form could wrap and bypass the cap.
-        if (chunk > limits_.max_body_bytes - request_.body.size()) {
+        if (chunk > limits_.max_body_bytes - body.size()) {
           Fail("body exceeds limit");
           break;
         }
@@ -320,7 +294,7 @@ size_t HttpRequestParser::Feed(const char* data, size_t size) {
       }
       case State::kChunkData: {
         size_t take = std::min(size - used, body_remaining_);
-        request_.body.append(data + used, take);
+        body.append(data + used, take);
         used += take;
         body_remaining_ -= take;
         if (body_remaining_ == 0) {
@@ -351,22 +325,41 @@ size_t HttpRequestParser::Feed(const char* data, size_t size) {
   return used;
 }
 
-// --- HttpResponseParser ----------------------------------------------------
+// --- HttpRequestParser -----------------------------------------------------
 
-void HttpResponseParser::Fail(std::string message) {
-  state_ = State::kError;
-  error_ = std::move(message);
+void HttpRequestParser::Reset() {
+  ResetFraming();
+  request_ = HttpRequest{};
 }
 
+bool HttpRequestParser::ParseStartLine(std::string_view line) {
+  // METHOD SP target SP HTTP/x.y
+  size_t sp1 = line.find(' ');
+  size_t sp2 = sp1 == std::string_view::npos ? std::string_view::npos
+                                             : line.find(' ', sp1 + 1);
+  if (sp2 == std::string_view::npos ||
+      line.find(' ', sp2 + 1) != std::string_view::npos) {
+    Fail("malformed request line");
+    return false;
+  }
+  request_.method = std::string(line.substr(0, sp1));
+  request_.target = std::string(line.substr(sp1 + 1, sp2 - sp1 - 1));
+  request_.version = std::string(line.substr(sp2 + 1));
+  if (request_.method.empty() || request_.target.empty() ||
+      request_.version.rfind("HTTP/", 0) != 0) {
+    Fail("malformed request line");
+    return false;
+  }
+  return true;
+}
+
+// --- HttpResponseParser ----------------------------------------------------
+
 void HttpResponseParser::Reset() {
-  state_ = State::kHeaders;
-  buffer_.clear();
-  error_.clear();
+  ResetFraming();
   status_ = 0;
   headers_.clear();
   body_.clear();
-  body_remaining_ = 0;
-  chunk_padding_ = 0;
 }
 
 const std::string& HttpResponseParser::Header(
@@ -374,14 +367,8 @@ const std::string& HttpResponseParser::Header(
   return HeaderValue(headers_, name);
 }
 
-bool HttpResponseParser::ParseHeaderBlock() {
-  std::vector<std::string_view> lines = HeaderLines(buffer_);
-  if (lines.empty()) {
-    Fail("empty response");
-    return false;
-  }
-  // Status line: HTTP/x.y SP code SP reason.
-  std::string_view line = lines[0];
+bool HttpResponseParser::ParseStartLine(std::string_view line) {
+  // HTTP/x.y SP code SP reason
   if (line.rfind("HTTP/", 0) != 0) {
     Fail("malformed status line");
     return false;
@@ -393,134 +380,14 @@ bool HttpResponseParser::ParseHeaderBlock() {
   }
   status_ = 0;
   for (size_t i = sp + 1; i < line.size() && line[i] != ' '; ++i) {
-    if (line[i] < '0' || line[i] > '9') {
+    // Three digits at most, so a long digit run cannot overflow.
+    if (line[i] < '0' || line[i] > '9' || status_ > 99) {
       Fail("malformed status code");
       return false;
     }
     status_ = status_ * 10 + (line[i] - '0');
   }
-  if (!ParseHeaderFields(lines, 1, &headers_)) {
-    Fail("malformed header line");
-    return false;
-  }
-
-  const std::string te = ToLower(Header("transfer-encoding"));
-  const std::string& cl = Header("content-length");
-  if (te == "chunked") {
-    state_ = State::kChunkHeader;
-  } else if (!cl.empty()) {
-    size_t length = 0;
-    if (!ParseSize(cl, &length)) {
-      Fail("invalid content-length");
-      return false;
-    }
-    if (length > limits_.max_body_bytes) {
-      Fail("body exceeds limit");
-      return false;
-    }
-    body_remaining_ = length;
-    state_ = length == 0 ? State::kDone : State::kBody;
-  } else {
-    // No explicit framing: treat as empty (this client never issues
-    // requests whose responses are EOF-delimited).
-    state_ = State::kDone;
-  }
-  buffer_.clear();
   return true;
-}
-
-size_t HttpResponseParser::Feed(const char* data, size_t size) {
-  size_t used = 0;
-  while (used < size && state_ != State::kDone && state_ != State::kError) {
-    switch (state_) {
-      case State::kHeaders: {
-        size_t take = std::min(size - used,
-                               limits_.max_header_bytes + 4 - buffer_.size());
-        buffer_.append(data + used, take);
-        size_t end = HeaderBlockEnd(buffer_);
-        if (end == std::string::npos) {
-          used += take;
-          if (buffer_.size() >= limits_.max_header_bytes) {
-            Fail("header block exceeds limit");
-          }
-          break;
-        }
-        used += take - (buffer_.size() - end);
-        buffer_.resize(end);
-        ParseHeaderBlock();
-        break;
-      }
-      case State::kBody: {
-        size_t take = std::min(size - used, body_remaining_);
-        body_.append(data + used, take);
-        used += take;
-        body_remaining_ -= take;
-        if (body_remaining_ == 0) state_ = State::kDone;
-        break;
-      }
-      case State::kChunkHeader: {
-        buffer_.push_back(data[used++]);
-        if (buffer_.size() > 64) {
-          Fail("chunk-size line exceeds limit");
-          break;
-        }
-        if (buffer_.back() != '\n') break;
-        buffer_.pop_back();
-        std::string_view line(buffer_);
-        if (chunk_padding_ > 0 && Trim(line).empty()) {
-          chunk_padding_ = 0;
-          buffer_.clear();
-          break;
-        }
-        size_t chunk = 0;
-        if (!ParseChunkSize(line, &chunk)) {
-          Fail("malformed chunk size");
-          break;
-        }
-        buffer_.clear();
-        if (chunk == 0) {
-          state_ = State::kChunkTrailer;
-          break;
-        }
-        // Subtraction form, as in the request parser: avoids size_t wrap
-        // when `chunk` approaches SIZE_MAX.
-        if (chunk > limits_.max_body_bytes - body_.size()) {
-          Fail("body exceeds limit");
-          break;
-        }
-        body_remaining_ = chunk;
-        state_ = State::kChunkData;
-        break;
-      }
-      case State::kChunkData: {
-        size_t take = std::min(size - used, body_remaining_);
-        body_.append(data + used, take);
-        used += take;
-        body_remaining_ -= take;
-        if (body_remaining_ == 0) {
-          chunk_padding_ = 1;
-          state_ = State::kChunkHeader;
-        }
-        break;
-      }
-      case State::kChunkTrailer: {
-        buffer_.push_back(data[used++]);
-        if (buffer_.size() > limits_.max_header_bytes) {
-          Fail("chunk trailer exceeds limit");
-          break;
-        }
-        if (buffer_.back() != '\n') break;
-        buffer_.pop_back();
-        if (Trim(std::string_view(buffer_)).empty()) state_ = State::kDone;
-        buffer_.clear();
-        break;
-      }
-      case State::kDone:
-      case State::kError:
-        break;
-    }
-  }
-  return used;
 }
 
 // --- URL helpers -----------------------------------------------------------

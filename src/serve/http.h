@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -51,36 +52,45 @@ const char* HttpStatusReason(int status);
 /// a Connection header (keep-alive unless close_connection).
 std::string SerializeResponse(const HttpResponse& response);
 
-/// Incremental HTTP/1.1 request parser. Feed() accepts bytes in
-/// arbitrary fragments (a socket read may tear a request anywhere,
-/// including mid header line or mid chunk header) and consumes at most
-/// one request's worth; leftover bytes stay with the caller for the next
-/// request on a keep-alive connection. Bodies arrive either via
-/// Content-Length or Transfer-Encoding: chunked. Every malformed input
-/// (bad request line, oversized headers, invalid Content-Length, broken
+/// Incremental HTTP/1.1 message framing shared by the request and
+/// response parsers. Feed() accepts bytes in arbitrary fragments (a
+/// socket read may tear a message anywhere, including mid header line or
+/// mid chunk header) and consumes at most one message's worth; leftover
+/// bytes stay with the caller for the next message on a keep-alive
+/// connection. The body is delimited by Content-Length or
+/// Transfer-Encoding: chunked; any other transfer coding is an error, and
+/// a message with neither header has an empty body. Every malformed input
+/// (bad start line, oversized headers, invalid Content-Length, broken
 /// chunk framing, body over limit) lands in the error state with a
-/// message — never an abort — so the server can answer 400.
-class HttpRequestParser {
+/// message, never an abort. Subclasses parse the start line and say
+/// where the headers and the body go.
+class HttpMessageParser {
  public:
   using Limits = HttpParserLimits;
 
-  HttpRequestParser() = default;
-  explicit HttpRequestParser(Limits limits) : limits_(limits) {}
-
   /// Consumes up to `size` bytes; returns how many were used. Stops
-  /// consuming once the request completes (done()) or fails (error()).
+  /// consuming once the message completes (done()) or fails (error()).
   size_t Feed(const char* data, size_t size);
 
   bool done() const { return state_ == State::kDone; }
   bool error() const { return state_ == State::kError; }
   const std::string& error_message() const { return error_; }
 
-  /// The parsed request; valid once done().
-  const HttpRequest& request() const { return request_; }
-  HttpRequest& request() { return request_; }
+ protected:
+  using HeaderList = std::vector<std::pair<std::string, std::string>>;
 
-  /// Resets to parse the next request (keep-alive reuse).
-  void Reset();
+  explicit HttpMessageParser(Limits limits) : limits_(limits) {}
+  ~HttpMessageParser() = default;
+
+  /// Parses the header block's first line; Fail()s and returns false
+  /// when it is malformed.
+  virtual bool ParseStartLine(std::string_view line) = 0;
+  virtual HeaderList& MutableHeaders() = 0;
+  virtual std::string& MutableBody() = 0;
+
+  void Fail(std::string message);
+  /// Back to the start of a message; subclasses clear what they parsed.
+  void ResetFraming();
 
  private:
   enum class State {
@@ -93,68 +103,61 @@ class HttpRequestParser {
     kError,
   };
 
-  void Fail(std::string message);
-  bool ParseHeaderBlock();
+  void ParseHeaderBlock();
 
   Limits limits_;
   State state_ = State::kHeaders;
   std::string buffer_;  // header block / current framing line
-  HttpRequest request_;
   std::string error_;
-  size_t body_remaining_ = 0;   // kBody / kChunkData bytes outstanding
-  size_t chunk_padding_ = 0;    // CRLF bytes to swallow after a chunk
+  size_t body_remaining_ = 0;  // kBody / kChunkData bytes outstanding
+  size_t chunk_padding_ = 0;   // CRLF bytes to swallow after a chunk
 };
 
-/// Incremental HTTP/1.1 response parser for the built-in client. Same
-/// feeding contract as HttpRequestParser; the body must be delimited by
-/// Content-Length or chunked encoding (which SerializeResponse and every
-/// well-behaved server provide). The same HttpParserLimits apply, so a
-/// misbehaving server cannot grow client buffers without bound.
-class HttpResponseParser {
+/// Incremental HTTP/1.1 request parser for the server: a malformed
+/// request ends in error(), which the server answers with 400.
+class HttpRequestParser final : public HttpMessageParser {
  public:
-  using Limits = HttpParserLimits;
+  HttpRequestParser() : HttpRequestParser(Limits{}) {}
+  explicit HttpRequestParser(Limits limits) : HttpMessageParser(limits) {}
 
-  HttpResponseParser() = default;
-  explicit HttpResponseParser(Limits limits) : limits_(limits) {}
+  /// The parsed request; valid once done().
+  const HttpRequest& request() const { return request_; }
+  HttpRequest& request() { return request_; }
 
-  size_t Feed(const char* data, size_t size);
+  /// Resets to parse the next request (keep-alive reuse).
+  void Reset();
 
-  bool done() const { return state_ == State::kDone; }
-  bool error() const { return state_ == State::kError; }
-  const std::string& error_message() const { return error_; }
+ private:
+  bool ParseStartLine(std::string_view line) override;
+  HeaderList& MutableHeaders() override { return request_.headers; }
+  std::string& MutableBody() override { return request_.body; }
+
+  HttpRequest request_;
+};
+
+/// Incremental HTTP/1.1 response parser for the built-in client. The
+/// same HttpParserLimits apply, so a misbehaving server cannot grow
+/// client buffers without bound.
+class HttpResponseParser final : public HttpMessageParser {
+ public:
+  HttpResponseParser() : HttpResponseParser(Limits{}) {}
+  explicit HttpResponseParser(Limits limits) : HttpMessageParser(limits) {}
 
   int status() const { return status_; }
   const std::string& body() const { return body_; }
   const std::string& Header(const std::string& name) const;
-  const std::vector<std::pair<std::string, std::string>>& headers() const {
-    return headers_;
-  }
+  const HeaderList& headers() const { return headers_; }
 
   void Reset();
 
  private:
-  enum class State {
-    kHeaders,
-    kBody,
-    kChunkHeader,
-    kChunkData,
-    kChunkTrailer,
-    kDone,
-    kError,
-  };
+  bool ParseStartLine(std::string_view line) override;
+  HeaderList& MutableHeaders() override { return headers_; }
+  std::string& MutableBody() override { return body_; }
 
-  void Fail(std::string message);
-  bool ParseHeaderBlock();
-
-  Limits limits_;
-  State state_ = State::kHeaders;
-  std::string buffer_;
-  std::string error_;
   int status_ = 0;
-  std::vector<std::pair<std::string, std::string>> headers_;
+  HeaderList headers_;
   std::string body_;
-  size_t body_remaining_ = 0;
-  size_t chunk_padding_ = 0;
 };
 
 /// Percent-encodes every byte outside the URL "unreserved" set (RFC 3986)

@@ -21,7 +21,6 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "obs/window.h"
 #include "xmldump/dump.h"
 
 namespace somr::serve {
@@ -41,32 +40,7 @@ struct ServeMetrics {
   obs::Gauge* faulted;
   obs::Gauge* dirty;
   obs::Gauge* spilled;
-  obs::Histogram* latency_revision;
-  obs::Histogram* latency_graph;
-  obs::Histogram* latency_history;
-  obs::Histogram* latency_provenance;
-  obs::Histogram* latency_metrics;
-  obs::Histogram* latency_admin;
-  obs::Histogram* latency_other;
 };
-
-obs::Histogram* LatencyHistogram(obs::MetricsRegistry& reg,
-                                 const std::string& endpoint) {
-  // 100 µs .. ~26 s in x4 steps.
-  return reg.GetHistogram("somr_serve_request_seconds_" + endpoint,
-                          "Request latency of the " + endpoint +
-                              " serve endpoint in seconds",
-                          1e-4, 4.0, 10);
-}
-
-/// Rolling-window latency per endpoint, same bucket shape as the
-/// cumulative histograms. The window registry is process-global, so the
-/// SLO threshold of the first server to register an endpoint wins.
-obs::WindowedHistogram* WindowLatency(const char* endpoint,
-                                      double slo_threshold) {
-  return obs::WindowRegistry::Global().GetHistogram(endpoint, 1e-4, 4.0, 10,
-                                                    slo_threshold);
-}
 
 const ServeMetrics& GetServeMetrics() {
   static const ServeMetrics metrics = [] {
@@ -94,13 +68,6 @@ const ServeMetrics& GetServeMetrics() {
     m.spilled = reg.GetGauge(
         "somr_serve_context_spills",
         "Evictions that had to write a snapshot before dropping");
-    m.latency_revision = LatencyHistogram(reg, "revision");
-    m.latency_graph = LatencyHistogram(reg, "graph");
-    m.latency_history = LatencyHistogram(reg, "history");
-    m.latency_provenance = LatencyHistogram(reg, "provenance");
-    m.latency_metrics = LatencyHistogram(reg, "metrics");
-    m.latency_admin = LatencyHistogram(reg, "admin");
-    m.latency_other = LatencyHistogram(reg, "other");
     return m;
   }();
   return metrics;
@@ -301,6 +268,15 @@ Server::Server(state::ContextStore* store, ServeOptions options)
   config += ";slo_threshold_seconds=" +
             std::to_string(options_.slo_threshold_seconds);
   config_fingerprint_ = obs::TraceIdHex(Fnv1a64(config));
+  // 100 µs .. ~26 s in x4 steps. The registry is process-wide, so the SLO
+  // threshold of the first server to register an endpoint wins.
+  for (size_t e = 0; e < kEndpointCount; ++e) {
+    const std::string name = kEndpointNames[e];
+    latency_[e] = obs::MetricsRegistry::Global().GetWindowedHistogram(
+        "somr_serve_request_seconds_" + name,
+        "Request latency of the " + name + " serve endpoint in seconds",
+        1e-4, 4.0, 10, options_.slo_threshold_seconds);
+  }
 }
 
 Server::~Server() {
@@ -516,36 +492,21 @@ void Server::HandleConnection(int fd) {
     tracker_.Begin(trace_id, request.method, request.target);
 
     Timer timer;
-    const char* endpoint = "other";
+    Endpoint endpoint = kOther;
     HttpResponse response;
     {
       SOMR_TRACE_SCOPE_CAT("serve", "serve/request");
       response = Route(request, &endpoint);
     }
     const double seconds = timer.ElapsedSeconds();
-    tracker_.End(trace_id, endpoint, response.status, seconds);
+    tracker_.End(trace_id, kEndpointNames[endpoint], response.status,
+                 seconds);
     response.extra_headers.emplace_back("x-somr-trace-id",
                                         obs::TraceIdHex(trace_id));
-    WindowLatency(endpoint, options_.slo_threshold_seconds)
-        ->Observe(seconds);
+    latency_[endpoint]->Observe(seconds);
     if (options_.slo_threshold_seconds > 0.0 &&
         seconds > options_.slo_threshold_seconds) {
       metrics.slo_violations->Increment();
-    }
-    if (std::strcmp(endpoint, "revision") == 0) {
-      metrics.latency_revision->Observe(seconds);
-    } else if (std::strcmp(endpoint, "graph") == 0) {
-      metrics.latency_graph->Observe(seconds);
-    } else if (std::strcmp(endpoint, "history") == 0) {
-      metrics.latency_history->Observe(seconds);
-    } else if (std::strcmp(endpoint, "provenance") == 0) {
-      metrics.latency_provenance->Observe(seconds);
-    } else if (std::strcmp(endpoint, "metrics") == 0) {
-      metrics.latency_metrics->Observe(seconds);
-    } else if (std::strcmp(endpoint, "admin") == 0) {
-      metrics.latency_admin->Observe(seconds);
-    } else {
-      metrics.latency_other->Observe(seconds);
     }
     if (response.status >= 400) metrics.http_errors->Increment();
 
@@ -573,13 +534,13 @@ void Server::HandleConnection(int fd) {
 }
 
 HttpResponse Server::Route(const HttpRequest& request,
-                           const char** endpoint) {
+                           Endpoint* endpoint) {
   std::vector<std::string> segments;
   std::string query;
   SplitTarget(request.target, &segments, &query);
 
   if (segments.size() == 1 && segments[0] == "healthz") {
-    *endpoint = "healthz";
+    *endpoint = kHealthz;
     if (request.method != "GET") return ErrorResponse(405, "GET only");
     HttpResponse response;
     response.content_type = "application/json";
@@ -588,7 +549,7 @@ HttpResponse Server::Route(const HttpRequest& request,
     return response;
   }
   if (segments.size() == 1 && segments[0] == "metrics") {
-    *endpoint = "metrics";
+    *endpoint = kMetrics;
     if (request.method != "GET") return ErrorResponse(405, "GET only");
     obs::TouchProcessMetrics();
     HttpResponse response;
@@ -599,12 +560,13 @@ HttpResponse Server::Route(const HttpRequest& request,
   }
   if (segments.size() == 2 && segments[0] == "metrics" &&
       segments[1] == "window") {
-    *endpoint = "metrics";
+    *endpoint = kMetrics;
     if (request.method != "GET") return ErrorResponse(405, "GET only");
-    return JsonResponse(obs::WindowRegistry::Global().RenderJson());
+    return JsonResponse(
+        obs::RenderWindowJson(obs::MetricsRegistry::Global().Scrape()));
   }
   if (segments.size() == 2 && segments[0] == "debug") {
-    *endpoint = "debug";
+    *endpoint = kDebug;
     if (request.method != "GET") return ErrorResponse(405, "GET only");
     if (segments[1] == "vars") return HandleDebugVars();
     if (segments[1] == "requests") {
@@ -614,7 +576,7 @@ HttpResponse Server::Route(const HttpRequest& request,
     return ErrorResponse(404, "unknown debug endpoint");
   }
   if (segments.size() == 2 && segments[0] == "admin") {
-    *endpoint = "admin";
+    *endpoint = kAdmin;
     if (request.method != "POST") return ErrorResponse(405, "POST only");
     if (segments[1] == "checkpoint") return HandleCheckpoint();
     if (segments[1] == "drain") {
@@ -631,7 +593,7 @@ HttpResponse Server::Route(const HttpRequest& request,
   if (segments.size() >= 3 && segments[0] == "context") {
     const std::string& id = segments[1];
     if (segments.size() == 3 && segments[2] == "revision") {
-      *endpoint = "revision";
+      *endpoint = kRevision;
       if (request.method != "POST") return ErrorResponse(405, "POST only");
       if (draining_.load(std::memory_order_relaxed)) {
         return ErrorResponse(503, "server is draining");
@@ -640,15 +602,15 @@ HttpResponse Server::Route(const HttpRequest& request,
     }
     if (request.method != "GET") return ErrorResponse(405, "GET only");
     if (segments.size() == 3 && segments[2] == "graph") {
-      *endpoint = "graph";
+      *endpoint = kGraph;
       return HandleGraph(id);
     }
     if (segments.size() == 4 && segments[2] == "history") {
-      *endpoint = "history";
+      *endpoint = kHistory;
       return HandleHistory(id, segments[3]);
     }
     if (segments.size() == 3 && segments[2] == "provenance") {
-      *endpoint = "provenance";
+      *endpoint = kProvenance;
       return HandleProvenance(id, query);
     }
   }

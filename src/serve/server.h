@@ -13,6 +13,7 @@
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "obs/metrics.h"
 #include "obs/provenance.h"
 #include "parallel/executor.h"
 #include "parallel/mpmc_channel.h"
@@ -188,13 +189,32 @@ class Server {
     std::atomic<uint64_t> spilled{0};
   };
 
+  /// What Route() counts a request under. Each endpoint has one
+  /// windowed latency histogram, somr_serve_request_seconds_<name>.
+  enum Endpoint : size_t {
+    kHealthz,
+    kMetrics,
+    kDebug,
+    kAdmin,
+    kRevision,
+    kGraph,
+    kHistory,
+    kProvenance,
+    kOther,
+    kEndpointCount,
+  };
+  static constexpr const char* kEndpointNames[kEndpointCount] = {
+      "healthz", "metrics", "debug",      "admin", "revision",
+      "graph",   "history", "provenance", "other"};
+
   void ShardMain(Shard& shard);
   void HandleConnection(int fd);
 
   /// Routes one parsed request to a response; sets `*endpoint` to the
-  /// latency-histogram bucket name. Context endpoints block on their
-  /// shard; everything else answers inline.
-  HttpResponse Route(const HttpRequest& request, const char** endpoint);
+  /// endpoint it counts under (left alone for unrouted requests).
+  /// Context endpoints block on their shard; everything else answers
+  /// inline.
+  HttpResponse Route(const HttpRequest& request, Endpoint* endpoint);
 
   /// Runs `fn` on `id`'s shard and returns its response; serializes all
   /// work for one context.
@@ -230,6 +250,9 @@ class Server {
   RequestTracker tracker_ SOMR_NOT_GUARDED;
   // FNV-1a64 hex of the options; computed in the constructor.
   std::string config_fingerprint_ SOMR_NOT_GUARDED;
+  // Registered in the constructor, indexed by Endpoint; the histograms
+  // are internally synchronized.
+  obs::Histogram* latency_[kEndpointCount] SOMR_NOT_GUARDED = {};
 
   // Open connections, so shutdown can wait for handlers to finish.
   std::mutex conn_mu_;

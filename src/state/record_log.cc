@@ -9,6 +9,7 @@
 #include <ctime>
 #include <filesystem>
 #include <mutex>
+#include <tuple>
 #include <utility>
 
 #include "common/hash.h"
@@ -245,56 +246,50 @@ Status RecordLog::RecoverTailLocked(uint32_t shard) {
 Status RecordLog::ApplyIndexRowLocked(const IndexFile::Row& row) {
   const std::string_view line = row.text;
   std::vector<std::string_view> fields = SplitString(line, '\t');
+  // Every number is a plain decimal digit run: no sign, no blank, no
+  // value past its type.
+  uint32_t shard = 0;
+  const bool shard_ok = fields.size() > 1 && ParseInteger(fields[1], &shard) &&
+                        shard < shards_.size();
   if (line[0] == 'S') {
     if (fields.size() != 6) {
       return Status::ParseError("shard row needs 6 fields");
     }
-    unsigned shard = 0;
-    unsigned long long generation = 0, durable = 0, compactions = 0;
-    long long last_compaction = 0;
-    if (std::sscanf(std::string(fields[1]).c_str(), "%u", &shard) != 1 ||
-        shard >= shards_.size() ||
-        std::sscanf(std::string(fields[2]).c_str(), "%llu", &generation) !=
-            1 ||
-        generation == 0 ||
-        std::sscanf(std::string(fields[3]).c_str(), "%llu", &durable) != 1 ||
-        std::sscanf(std::string(fields[4]).c_str(), "%llu", &compactions) !=
-            1 ||
-        std::sscanf(std::string(fields[5]).c_str(), "%lld",
-                    &last_compaction) != 1) {
+    uint64_t generation = 0, durable = 0, compactions = 0,
+             last_compaction = 0;
+    if (!shard_ok || !ParseInteger(fields[2], &generation) ||
+        generation == 0 || !ParseInteger(fields[3], &durable) ||
+        !ParseInteger(fields[4], &compactions) ||
+        !ParseInteger(fields[5], &last_compaction) ||
+        last_compaction > static_cast<uint64_t>(INT64_MAX)) {
       return Status::ParseError("bad shard row");
     }
     Shard& s = *shards_[shard];
     s.generation = generation;
     s.durable_size = durable;
     s.compactions = compactions;
-    s.last_compaction_unix = last_compaction;
+    s.last_compaction_unix = static_cast<int64_t>(last_compaction);
     return Status::OK();
   }
   if (line[0] != 'C') return Status::ParseError("unknown row type");
   if (fields.size() != 5) {
     return Status::ParseError("chain row needs 5 fields");
   }
-  unsigned shard = 0;
-  if (std::sscanf(std::string(fields[1]).c_str(), "%u", &shard) != 1 ||
-      shard >= shards_.size()) {
-    return Status::ParseError("bad chain shard");
-  }
+  if (!shard_ok) return Status::ParseError("bad chain shard");
   Chain chain;
   for (std::string_view part : SplitString(fields[2], ',')) {
-    unsigned long long offset = 0, length = 0;
-    unsigned kind = 0;
-    if (std::sscanf(std::string(part).c_str(), "%llu:%llu:%u", &offset,
-                    &length, &kind) != 3 ||
-        (kind != static_cast<unsigned>(RecordKind::kFull) &&
-         kind != static_cast<unsigned>(RecordKind::kDelta))) {
+    std::vector<std::string_view> ref_fields = SplitString(part, ':');
+    RecordRef ref;
+    ref.shard = shard;
+    uint32_t kind = 0;
+    if (ref_fields.size() != 3 || !ParseInteger(ref_fields[0], &ref.offset) ||
+        !ParseInteger(ref_fields[1], &ref.length) ||
+        !ParseInteger(ref_fields[2], &kind) ||
+        (kind != static_cast<uint32_t>(RecordKind::kFull) &&
+         kind != static_cast<uint32_t>(RecordKind::kDelta))) {
       return Status::ParseError("bad chain ref \"" + std::string(part) +
                                 "\"");
     }
-    RecordRef ref;
-    ref.shard = shard;
-    ref.offset = offset;
-    ref.length = length;
     ref.kind = static_cast<RecordKind>(kind);
     chain.refs.push_back(ref);
   }
@@ -343,8 +338,13 @@ Status RecordLog::LoadIndexLocked(const IndexFile::Contents& contents) {
     Status status = ApplyIndexRowLocked(row);
     if (!status.ok()) return contents.Locate(row, status);
   }
-  // Every final chain must lie in its shard's committed bytes; what they
-  // cover is the shard's live bytes.
+  // Every final chain must lie in its shard's committed bytes, and no two
+  // records may share a byte; what they cover is the shard's live bytes.
+  struct Owned {
+    const RecordRef* ref;
+    const std::string* key;
+  };
+  std::vector<Owned> owned;
   for (const auto& [key, chain] : chains_) {
     for (const RecordRef& ref : chain.refs) {
       Shard& s = *shards_[ref.shard];
@@ -356,6 +356,21 @@ Status RecordLog::LoadIndexLocked(const IndexFile::Contents& contents) {
                                   std::to_string(ref.shard));
       }
       s.live_bytes += ref.length;
+      owned.push_back({&ref, &key});
+    }
+  }
+  std::sort(owned.begin(), owned.end(), [](const Owned& a, const Owned& b) {
+    return std::tie(a.ref->shard, a.ref->offset) <
+           std::tie(b.ref->shard, b.ref->offset);
+  });
+  for (size_t i = 1; i < owned.size(); ++i) {
+    const RecordRef& prev = *owned[i - 1].ref;
+    const RecordRef& ref = *owned[i].ref;
+    if (ref.shard == prev.shard && ref.offset < prev.offset + prev.length) {
+      return Status::ParseError(
+          index_.path() + ": chains of \"" + *owned[i - 1].key + "\" and \"" +
+          *owned[i].key + "\" share bytes of shard " +
+          std::to_string(ref.shard));
     }
   }
   return Status::OK();

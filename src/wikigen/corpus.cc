@@ -75,4 +75,15 @@ xmldump::Dump CorpusToDump(const GoldCorpus& corpus) {
   return dump;
 }
 
+xmldump::Dump DemoDump() {
+  CorpusConfig config;
+  config.focal_type = extract::ObjectType::kTable;
+  config.strata_caps = {3, 8};
+  config.pages_per_stratum = 3;
+  config.min_revisions = 25;
+  config.max_revisions = 60;
+  config.seed = 4;
+  return CorpusToDump(GenerateGoldCorpus(config));
+}
+
 }  // namespace somr::wikigen

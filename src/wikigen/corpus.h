@@ -37,4 +37,9 @@ GoldCorpus GenerateGoldCorpus(const CorpusConfig& config);
 /// revisions), exercising the same ingestion path as a real dump.
 xmldump::Dump CorpusToDump(const GoldCorpus& corpus);
 
+/// The corpus behind every tool's --demo mode: table pages under strata
+/// caps {3, 8}, 3 pages per stratum, 25-60 revisions each, seed 4. The
+/// smoke tests compare the tools' outputs on it byte for byte.
+xmldump::Dump DemoDump();
+
 }  // namespace somr::wikigen

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <cmath>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -152,6 +153,31 @@ TEST_F(MetricsTest, TextRenderingIsPrometheusShaped) {
   EXPECT_NE(text.find("test_render_seconds_bucket{le=\"+Inf\"} 1"),
             std::string::npos);
   EXPECT_NE(text.find("test_render_seconds_count 1"), std::string::npos);
+}
+
+TEST_F(MetricsTest, TextRenderingNamesTheFamilyOfALabeledSeries) {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  reg.GetGauge("test_labeled_info{version=\"x\",kind=\"y\"}", "labeled")
+      ->Set(1.0);
+  std::string text = RenderMetricsText(reg.Scrape());
+  // # HELP and # TYPE carry the bare family name; the sample keeps its
+  // labels.
+  EXPECT_NE(text.find("# HELP test_labeled_info labeled\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("# TYPE test_labeled_info gauge\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\ntest_labeled_info{version=\"x\",kind=\"y\"} 1\n"),
+            std::string::npos)
+      << text;
+  // No comment line of the whole exposition names a labeled series.
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# ", 0) != 0) continue;
+    const std::string name = line.substr(7, line.find(' ', 7) - 7);
+    EXPECT_EQ(name.find('{'), std::string::npos) << line;
+  }
 }
 
 TEST_F(MetricsTest, JsonRenderingContainsSections) {

@@ -1,28 +1,35 @@
-#include "obs/window.h"
+// The windowed histogram kind of MetricsRegistry: a Histogram that also
+// keeps a rolling ring of kWindowSlots sub-windows of kWindowSlotSeconds,
+// read back through WindowStatsAt and rendered by RenderWindowJson.
 
+#include <atomic>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "json_checker.h"
+#include "obs/metrics.h"
 
 namespace somr::obs {
 namespace {
 
 using somr::testutil::JsonChecker;
 
-// Shape used throughout: exponential buckets [1,2) [2,4) [4,8) [8,16)
-// plus underflow [0,1) and overflow [16,inf), tiny 2s sub-windows so a
-// test can age samples out quickly.
-WindowedHistogram MakeHistogram(double slo_threshold = 0.0) {
-  return WindowedHistogram(/*first_bound=*/1.0, /*growth=*/2.0,
-                           /*bucket_count=*/4, slo_threshold,
-                           /*sub_window_seconds=*/2, /*sub_windows=*/5);
+constexpr int64_t kSpan = kWindowSlotSeconds * kWindowSlots;  // 300 s
+
+// Bounds 1, 2, 4, 8 plus overflow, as buckets [0,1] (1,2] (2,4] (4,8]
+// (8,inf). Each test registers its own name in the global registry.
+Histogram* MakeHistogram(const std::string& name, double slo_threshold = 0.0) {
+  return MetricsRegistry::Global().GetWindowedHistogram(
+      name, "test", /*first_bound=*/1.0, /*growth=*/2.0, /*bucket_count=*/4,
+      slo_threshold);
 }
 
 TEST(WindowedHistogramTest, EmptyStatsAreZero) {
-  WindowedHistogram h = MakeHistogram();
-  WindowStats s = h.StatsOverAt(60, /*now_s=*/1000);
+  Histogram* h = MakeHistogram("window_test_empty");
+  WindowStats s = h->WindowStatsAt(60, /*now_s=*/1000);
   EXPECT_EQ(s.count, 0u);
   EXPECT_EQ(s.sum, 0.0);
   EXPECT_EQ(s.p50, 0.0);
@@ -31,17 +38,17 @@ TEST(WindowedHistogramTest, EmptyStatsAreZero) {
 }
 
 TEST(WindowedHistogramTest, CountSumAndPercentileBounds) {
-  WindowedHistogram h = MakeHistogram();
-  // 90 fast observations in [1,2), 10 slow ones in [8,16).
-  for (int i = 0; i < 90; ++i) h.ObserveAt(1.5, /*now_s=*/1000);
-  for (int i = 0; i < 10; ++i) h.ObserveAt(9.0, /*now_s=*/1000);
+  Histogram* h = MakeHistogram("window_test_percentiles");
+  // 90 fast observations in (1,2], 10 slow ones in the overflow bucket,
+  // which percentiles cap one growth step above the last bound.
+  for (int i = 0; i < 90; ++i) h->ObserveAt(1.5, /*now_s=*/1000);
+  for (int i = 0; i < 10; ++i) h->ObserveAt(9.0, /*now_s=*/1000);
 
-  WindowStats s = h.StatsOverAt(60, /*now_s=*/1000);
+  WindowStats s = h->WindowStatsAt(60, /*now_s=*/1000);
   EXPECT_EQ(s.count, 100u);
   EXPECT_DOUBLE_EQ(s.sum, 90 * 1.5 + 10 * 9.0);
-  // p50 interpolates inside the [1,2) bucket; p95 and p99 land in the
-  // slow [8,16) bucket. Interpolation is bucket-linear, so assert
-  // bucket-level containment rather than exact values.
+  // Interpolation is bucket-linear, so assert bucket containment rather
+  // than exact values.
   EXPECT_GE(s.p50, 1.0);
   EXPECT_LT(s.p50, 2.0);
   EXPECT_GE(s.p95, 8.0);
@@ -52,98 +59,155 @@ TEST(WindowedHistogramTest, CountSumAndPercentileBounds) {
   EXPECT_LE(s.p95, s.p99);
 }
 
+TEST(WindowedHistogramTest, WindowSharesTheCumulativeBuckets) {
+  Histogram* h = MakeHistogram("window_test_shared_buckets");
+  // 2.0 sits on a bound, so both views count it in (1,2]: the window's
+  // p50 and p99 stay inside that bucket.
+  for (int i = 0; i < 10; ++i) h->ObserveAt(2.0, /*now_s=*/1000);
+  WindowStats s = h->WindowStatsAt(60, 1000);
+  EXPECT_GT(s.p50, 1.0);
+  EXPECT_LE(s.p99, 2.0);
+
+  for (const auto& row : MetricsRegistry::Global().Scrape().histograms) {
+    if (row.name != "window_test_shared_buckets") continue;
+    ASSERT_EQ(row.counts.size(), 5u);
+    EXPECT_EQ(row.counts[1], 10u);
+    EXPECT_EQ(row.total_count, 10u);
+    return;
+  }
+  FAIL() << "window_test_shared_buckets not scraped";
+}
+
 TEST(WindowedHistogramTest, SloViolationsCountOnlyAboveThreshold) {
-  WindowedHistogram h = MakeHistogram(/*slo_threshold=*/5.0);
-  h.ObserveAt(1.0, 1000);
-  h.ObserveAt(5.0, 1000);   // exactly at threshold: not a violation
-  h.ObserveAt(5.1, 1000);
-  h.ObserveAt(100.0, 1000);
-  WindowStats s = h.StatsOverAt(60, 1000);
+  Histogram* h = MakeHistogram("window_test_slo", /*slo_threshold=*/5.0);
+  h->ObserveAt(1.0, 1000);
+  h->ObserveAt(5.0, 1000);  // exactly at threshold: not a violation
+  h->ObserveAt(5.1, 1000);
+  h->ObserveAt(100.0, 1000);
+  WindowStats s = h->WindowStatsAt(60, 1000);
   EXPECT_EQ(s.count, 4u);
   EXPECT_EQ(s.slo_violations, 2u);
 }
 
 TEST(WindowedHistogramTest, ZeroThresholdDisablesSlo) {
-  WindowedHistogram h = MakeHistogram(/*slo_threshold=*/0.0);
-  h.ObserveAt(1e9, 1000);
-  EXPECT_EQ(h.StatsOverAt(60, 1000).slo_violations, 0u);
+  Histogram* h = MakeHistogram("window_test_no_slo", /*slo_threshold=*/0.0);
+  h->ObserveAt(1e9, 1000);
+  EXPECT_EQ(h->WindowStatsAt(60, 1000).slo_violations, 0u);
 }
 
 TEST(WindowedHistogramTest, HorizonExcludesOlderSubWindows) {
-  WindowedHistogram h = MakeHistogram();
-  h.ObserveAt(1.0, /*now_s=*/1000);  // epoch 500
-  h.ObserveAt(1.0, /*now_s=*/1004);  // epoch 502
-  // A 2s horizon read at t=1004 only covers epoch 502.
-  EXPECT_EQ(h.StatsOverAt(2, 1004).count, 1u);
+  Histogram* h = MakeHistogram("window_test_horizon");
+  h->ObserveAt(1.0, /*now_s=*/1000);  // epoch 200
+  h->ObserveAt(1.0, /*now_s=*/1010);  // epoch 202
+  // A one-slot horizon read at t=1010 only covers epoch 202.
+  EXPECT_EQ(h->WindowStatsAt(kWindowSlotSeconds, 1010).count, 1u);
   // A full-span horizon covers both.
-  EXPECT_EQ(h.StatsOverAt(h.span_seconds(), 1004).count, 2u);
+  EXPECT_EQ(h->WindowStatsAt(kSpan, 1010).count, 2u);
 }
 
 TEST(WindowedHistogramTest, SamplesAgeOutPastTheRingSpan) {
-  WindowedHistogram h = MakeHistogram();  // span = 2s * 5 = 10s
-  ASSERT_EQ(h.span_seconds(), 10);
-  h.ObserveAt(3.0, /*now_s=*/1000);
-  EXPECT_EQ(h.StatsOverAt(10, 1000).count, 1u);
-  // 8s later the sample is still inside the span...
-  EXPECT_EQ(h.StatsOverAt(10, 1008).count, 1u);
-  // ...but after a full ring revolution it is gone even though the slot
-  // was never overwritten (stale-epoch slots are skipped on read).
-  EXPECT_EQ(h.StatsOverAt(10, 1020).count, 0u);
+  Histogram* h = MakeHistogram("window_test_age");
+  h->ObserveAt(3.0, /*now_s=*/1000);  // epoch 200
+  EXPECT_EQ(h->WindowStatsAt(kSpan, 1000).count, 1u);
+  // Epoch 259 is the last one whose span still holds epoch 200...
+  EXPECT_EQ(h->WindowStatsAt(kSpan, 1000 + kSpan - 5).count, 1u);
+  // ...and a whole ring later the sample is gone although its slot was
+  // never overwritten (stale-epoch slots are skipped on read).
+  EXPECT_EQ(h->WindowStatsAt(kSpan, 1000 + kSpan).count, 0u);
 }
 
 TEST(WindowedHistogramTest, SlotRecyclingDropsTheOldEpoch) {
-  WindowedHistogram h = MakeHistogram();
-  h.ObserveAt(1.0, /*now_s=*/1000);  // epoch 500 -> slot 0
-  h.ObserveAt(1.0, /*now_s=*/1020);  // epoch 510 -> same slot, recycled
-  WindowStats s = h.StatsOverAt(h.span_seconds(), 1020);
+  Histogram* h = MakeHistogram("window_test_recycle");
+  h->ObserveAt(1.0, /*now_s=*/1000);         // epoch 200 -> slot 20
+  h->ObserveAt(1.0, /*now_s=*/1000 + kSpan);  // epoch 260 -> slot 20
+  WindowStats s = h->WindowStatsAt(kSpan, 1000 + kSpan);
   EXPECT_EQ(s.count, 1u);
   EXPECT_DOUBLE_EQ(s.sum, 1.0);
 }
 
 TEST(WindowedHistogramTest, HorizonClampsToTheRingSpan) {
-  WindowedHistogram h = MakeHistogram();
-  h.ObserveAt(2.0, 1000);
-  // Asking for an hour is answered over the 10s the ring actually holds.
-  EXPECT_EQ(h.StatsOverAt(3600, 1000).count, 1u);
-  EXPECT_EQ(h.StatsOverAt(3600, 1020).count, 0u);
+  Histogram* h = MakeHistogram("window_test_clamp");
+  h->ObserveAt(2.0, 1000);
+  // Asking for an hour is answered over the five minutes the ring holds.
+  EXPECT_EQ(h->WindowStatsAt(3600, 1000).count, 1u);
+  EXPECT_EQ(h->WindowStatsAt(3600, 1000 + kSpan).count, 0u);
 }
 
-TEST(WindowRegistryTest, SameNameReturnsSameHistogram) {
-  WindowedHistogram* a = WindowRegistry::Global().GetHistogram(
-      "window_test_dup", 1e-4, 4.0, 10, 0.5);
-  WindowedHistogram* b = WindowRegistry::Global().GetHistogram(
-      "window_test_dup", 9.9, 9.9, 3, 0.1);  // shape args ignored
+TEST(WindowedHistogramTest, SameNameReturnsSameHistogram) {
+  Histogram* a = MetricsRegistry::Global().GetWindowedHistogram(
+      "window_test_dup", "test", 1e-4, 4.0, 10, 0.5);
+  Histogram* b = MetricsRegistry::Global().GetWindowedHistogram(
+      "window_test_dup", "ignored", 9.9, 9.9, 3, 0.1);  // shape ignored
   EXPECT_EQ(a, b);
-  EXPECT_DOUBLE_EQ(b->slo_threshold(), 0.5);  // first registration wins
+  EXPECT_EQ(b->bounds().size(), 10u);
+  // The first registration's threshold holds: 0.3 s is no violation.
+  b->ObserveAt(0.3, 1000);
+  EXPECT_EQ(b->WindowStatsAt(60, 1000).slo_violations, 0u);
 }
 
-TEST(WindowRegistryTest, RenderJsonIsWellFormedAndCarriesPercentiles) {
-  WindowedHistogram* h = WindowRegistry::Global().GetHistogram(
-      "window_test_render", 1e-4, 4.0, 10, 0.5);
+TEST(WindowedHistogramTest, PlainHistogramHasNoWindow) {
+  Histogram* h = MetricsRegistry::Global().GetHistogram(
+      "window_test_plain", "test", 1.0, 2.0, 4);
+  h->ObserveAt(1.0, 1000);
+  EXPECT_EQ(h->WindowStatsAt(60, 1000).count, 0u);
+  EXPECT_EQ(RenderWindowJson(MetricsRegistry::Global().Scrape())
+                .find("\"window_test_plain\""),
+            std::string::npos);
+}
+
+TEST(WindowedHistogramTest, RenderJsonIsWellFormedAndCarriesPercentiles) {
+  Histogram* h = MetricsRegistry::Global().GetWindowedHistogram(
+      "window_test_render", "test", 1e-4, 4.0, 10, 0.5);
   h->Observe(0.001);
   h->Observe(0.9);  // SLO violation at 0.5s threshold
 
-  std::string json = WindowRegistry::Global().RenderJson();
+  std::string json = RenderWindowJson(MetricsRegistry::Global().Scrape());
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   EXPECT_NE(json.find("\"windows\""), std::string::npos);
-  EXPECT_NE(json.find("\"window_test_render\""), std::string::npos);
-  EXPECT_NE(json.find("\"1m\""), std::string::npos);
-  EXPECT_NE(json.find("\"5m\""), std::string::npos);
-  EXPECT_NE(json.find("\"p95\""), std::string::npos);
-  EXPECT_NE(json.find("\"slo_violations\": 1"), std::string::npos) << json;
+  const size_t at = json.find("\"window_test_render\"");
+  ASSERT_NE(at, std::string::npos) << json;
+  const std::string entry = json.substr(at, json.find("}}", at) - at);
+  EXPECT_NE(entry.find("\"1m\": {\"count\": 2,"), std::string::npos) << entry;
+  EXPECT_NE(entry.find("\"5m\": {\"count\": 2,"), std::string::npos) << entry;
+  EXPECT_NE(entry.find("\"p95\""), std::string::npos);
+  EXPECT_NE(entry.find("\"slo_violations\": 1"), std::string::npos) << entry;
 }
 
-TEST(WindowRegistryTest, SloViolationsSumAcrossHistograms) {
-  const int64_t now_s = WindowNowSeconds();
-  WindowedHistogram* a = WindowRegistry::Global().GetHistogram(
-      "window_test_slo_a", 1e-4, 4.0, 10, 0.5);
-  WindowedHistogram* b = WindowRegistry::Global().GetHistogram(
-      "window_test_slo_b", 1e-4, 4.0, 10, 0.5);
-  const uint64_t before = WindowRegistry::Global().SloViolationsAt(now_s);
-  a->ObserveAt(1.0, now_s);
-  a->ObserveAt(0.1, now_s);
-  b->ObserveAt(2.0, now_s);
-  EXPECT_EQ(WindowRegistry::Global().SloViolationsAt(now_s), before + 2);
+// Writers observe a windowed histogram while a reader scrapes and renders
+// the window view; run under tsan, this checks the ring's locking.
+TEST(WindowedHistogramTest, ConcurrentObserveAndRender) {
+  Histogram* h = MetricsRegistry::Global().GetWindowedHistogram(
+      "window_test_concurrent", "test", 1e-4, 4.0, 10, 0.5);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2000;
+  std::atomic<bool> writing{true};
+  std::thread reader([&] {
+    while (writing.load()) {
+      std::string json = RenderWindowJson(MetricsRegistry::Global().Scrape());
+      EXPECT_TRUE(JsonChecker(json).Valid());
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([h, t] {
+      for (int i = 0; i < kPerThread; ++i) h->Observe(1e-3 * (t + 1));
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  writing.store(false);
+  reader.join();
+  // The 5m horizon holds every sample even if the run straddled a
+  // sub-window boundary.
+  for (const auto& row : MetricsRegistry::Global().Scrape().histograms) {
+    if (row.name != "window_test_concurrent") continue;
+    ASSERT_EQ(row.windows.size(), 2u);
+    EXPECT_EQ(row.windows[1].count,
+              static_cast<uint64_t>(kThreads) * kPerThread);
+    EXPECT_EQ(row.windows[1].slo_violations, 0u);
+    EXPECT_EQ(row.total_count, row.windows[1].count);
+    return;
+  }
+  FAIL() << "window_test_concurrent not scraped";
 }
 
 }  // namespace

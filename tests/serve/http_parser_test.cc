@@ -9,8 +9,8 @@ namespace {
 
 // Feeds `raw` to a parser one `stride` bytes at a time, as a socket
 // with torn reads would. Returns total bytes consumed.
-size_t FeedAll(HttpRequestParser& parser, const std::string& raw,
-               size_t stride) {
+template <typename Parser>
+size_t FeedAll(Parser& parser, const std::string& raw, size_t stride) {
   size_t consumed = 0;
   for (size_t at = 0; at < raw.size() && !parser.done() && !parser.error();
        at += stride) {
@@ -49,13 +49,12 @@ TEST(HttpParserTest, ParsesContentLengthBody) {
   EXPECT_EQ(parser.request().body, "hello");
 }
 
-// A socket read can tear the stream anywhere: mid request line, mid
+// A socket read can tear the stream anywhere: mid start line, mid
 // header name, between \r and \n, mid chunk-size line, mid chunk data.
-// Every stride must produce the identical parse.
+// Every stride must produce the identical parse, of a request and of a
+// response.
 TEST(HttpParserTest, TornReadsAtEveryStrideParseIdentically) {
-  const std::string raw =
-      "POST /context/a%20b/revision HTTP/1.1\r\n"
-      "Host: localhost\r\n"
+  const std::string framing =
       "Transfer-Encoding: chunked\r\n"
       "\r\n"
       "6\r\nhello \r\n"
@@ -64,13 +63,25 @@ TEST(HttpParserTest, TornReadsAtEveryStrideParseIdentically) {
       "0\r\n"
       "X-Trailer: ignored\r\n"
       "\r\n";
-  for (size_t stride = 1; stride <= raw.size(); ++stride) {
+  const std::string request =
+      "POST /context/a%20b/revision HTTP/1.1\r\nHost: localhost\r\n" +
+      framing;
+  for (size_t stride = 1; stride <= request.size(); ++stride) {
     HttpRequestParser parser;
-    FeedAll(parser, raw, stride);
+    FeedAll(parser, request, stride);
     ASSERT_TRUE(parser.done()) << "stride " << stride;
     EXPECT_EQ(parser.request().body, "hello chunked world")
         << "stride " << stride;
     EXPECT_EQ(parser.request().target, "/context/a%20b/revision");
+  }
+  const std::string response = "HTTP/1.1 200 OK\r\n" + framing;
+  for (size_t stride = 1; stride <= response.size(); ++stride) {
+    HttpResponseParser parser;
+    EXPECT_EQ(FeedAll(parser, response, stride), response.size())
+        << "stride " << stride;
+    ASSERT_TRUE(parser.done()) << "stride " << stride;
+    EXPECT_EQ(parser.status(), 200);
+    EXPECT_EQ(parser.body(), "hello chunked world") << "stride " << stride;
   }
 }
 
@@ -156,6 +167,14 @@ TEST(HttpParserTest, UnsupportedTransferEncodingErrors) {
       "POST /x HTTP/1.1\r\nTransfer-Encoding: gzip\r\n\r\n";
   parser.Feed(raw.data(), raw.size());
   ASSERT_TRUE(parser.error());
+  // A response follows the same rule: an error, not an empty body.
+  HttpResponseParser response_parser;
+  const std::string response =
+      "HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n";
+  response_parser.Feed(response.data(), response.size());
+  ASSERT_TRUE(response_parser.error());
+  EXPECT_NE(response_parser.error_message().find("transfer-encoding"),
+            std::string::npos);
 }
 
 TEST(HttpParserTest, MalformedRequestLineErrors) {
@@ -242,6 +261,17 @@ TEST(HttpResponseParserTest, ChunkSizeNearSizeMaxCannotBypassBodyLimit) {
   parser.Feed(raw.data(), raw.size());
   ASSERT_TRUE(parser.error());
   EXPECT_NE(parser.error_message().find("body"), std::string::npos);
+}
+
+TEST(HttpResponseParserTest, MalformedStatusLineErrors) {
+  for (const char* bad :
+       {"HTTP/1.1\r\n\r\n", "HTTX/1.1 200 OK\r\n\r\n",
+        "HTTP/1.1 2x0 OK\r\n\r\n", "HTTP/1.1 99999999999 OK\r\n\r\n"}) {
+    HttpResponseParser parser;
+    const std::string raw = bad;
+    parser.Feed(raw.data(), raw.size());
+    EXPECT_TRUE(parser.error()) << "response: " << bad;
+  }
 }
 
 TEST(HttpResponseParserTest, OversizedChunkSizeLineErrors) {

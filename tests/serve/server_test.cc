@@ -507,7 +507,8 @@ TEST_F(ServerTest, MetricsWindowReportsIngestLatency) {
   EXPECT_TRUE(JsonChecker(window.body).Valid()) << window.body;
   // The ingest endpoint has a rolling-window entry with percentiles,
   // and both horizons saw at least the POST above.
-  const size_t at = window.body.find("\"revision\"");
+  const size_t at =
+      window.body.find("\"somr_serve_request_seconds_revision\"");
   ASSERT_NE(at, std::string::npos) << window.body;
   const size_t end = window.body.find("}}", at);
   ASSERT_NE(end, std::string::npos);

@@ -4,9 +4,11 @@
 #include <stdlib.h>
 
 #include <atomic>
+#include <cctype>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -441,6 +443,75 @@ TEST_F(RecordLogTest, FailedCompactionKeepsEveryChainOnItsLatestRecords) {
       expect_latest(reopened, /*with_delta=*/true, where);
     }
   }
+}
+
+// Every number in records.idx is a plain digit run: a sign, a blank or a
+// value past its type in any field of a shard row or of a chain ref is a
+// ParseError at Open, never a wrapped or trimmed number.
+TEST_F(RecordLogTest, IndexNumbersParseStrictly) {
+  {
+    RecordLog log(dir_, SmallOptions());
+    ASSERT_TRUE(log.Open(/*create=*/true).ok());
+    ASSERT_TRUE(log.Append("alpha", RecordKind::kFull, "full", "owner").ok());
+    ASSERT_TRUE(log.Append("alpha", RecordKind::kDelta, "delta", "owner").ok());
+    ASSERT_TRUE(log.Commit().ok());
+  }
+  // The committed index folded into a base alone: the last shard row of
+  // each shard and the chain row.
+  const std::string path = dir_ + "/records.idx";
+  std::ifstream in(path);
+  std::string header;
+  std::getline(in, header);
+  header.resize(header.find(" base="));
+  std::map<std::string, std::string> last;  // "S\t<shard>" or "C\t<shard>"
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line[0] != '#') {
+      last[line.substr(0, line.find('\t', 2))] = line;
+    }
+  }
+  std::vector<std::string> rows;
+  for (const auto& entry : last) rows.push_back(entry.second);
+  const auto open_with = [&](const std::vector<std::string>& index_rows) {
+    std::string body;
+    for (const std::string& row : index_rows) body += row + "\n";
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << header << " base=" << body.size() << "\n"
+        << body;
+    RecordLog log(dir_, SmallOptions());
+    return log.Open(/*create=*/false);
+  };
+  ASSERT_TRUE(open_with(rows).ok());
+
+  // Key and owner row carry no digits, so every digit run of a row is one
+  // numeric field. The shard field (the first) is a u32; the rest are
+  // u64 fields, or the i64 time of the last compaction.
+  int mutants = 0;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t b = 0; b < rows[r].size(); ++b) {
+      if (!std::isdigit(static_cast<unsigned char>(rows[r][b]))) continue;
+      size_t e = b;
+      while (e < rows[r].size() &&
+             std::isdigit(static_cast<unsigned char>(rows[r][e]))) {
+        ++e;
+      }
+      const std::string digits = rows[r].substr(b, e - b);
+      const std::string out_of_range =
+          b == 2 ? std::to_string(std::stoull(digits) + (1ull << 32))
+                 : "1" + std::string(20, '0');
+      for (const std::string& bad :
+           {"+" + digits, "-" + digits, " " + digits, digits + " ",
+            out_of_range}) {
+        std::vector<std::string> mutated = rows;
+        mutated[r].replace(b, e - b, bad);
+        EXPECT_EQ(open_with(mutated).code(), StatusCode::kParseError)
+            << mutated[r];
+        ++mutants;
+      }
+      b = e;
+    }
+  }
+  // Two shard rows of five numbers, a chain row of a shard and two refs.
+  EXPECT_EQ(mutants, 5 * (2 * 5 + 1 + 2 * 3));
 }
 
 TEST_F(RecordLogTest, EscapeKeyRoundTrips) {

@@ -341,6 +341,42 @@ void Mutate(std::string& text, Rng& rng) {
   }
 }
 
+// A chain row copied under another title points at the same records as
+// the original. Open refuses the index and names both keys, instead of
+// counting those bytes as live twice.
+TEST_F(StoreDurabilityTest, CopiedChainRowIsRefused) {
+  const std::string dir = dir_ + "/store";
+  StoreOptions options;
+  options.shard_count = 2;
+  {
+    ContextStore store(dir, {}, options);
+    ASSERT_TRUE(store.Open(/*create=*/true).ok());
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(
+          store.SaveUncommitted(MakeState("Page " + std::to_string(i), 1))
+              .ok());
+    }
+    ASSERT_TRUE(store.Commit().ok());
+  }
+  // The chain row of "Page 1" (the key is its last field) appended again
+  // under a new key, in a resealed block.
+  IndexParts parts = SplitIndex(Read(dir + "/records.idx"));
+  std::string& block = parts.rows.back();
+  const size_t key_at = block.find("\tPage 1\n") + 1;
+  const size_t row_at = block.rfind('\n', key_at) + 1;
+  ASSERT_EQ(block.compare(row_at, 2, "C\t"), 0) << block;
+  block += block.substr(row_at, key_at - row_at) + "Copied page\n";
+  Write(dir + "/records.idx", JoinIndex(parts));
+
+  ContextStore store(dir, {}, options);
+  const Status status = store.Open(/*create=*/false);
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+  EXPECT_NE(status.ToString().find("\"Page 1\""), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.ToString().find("\"Copied page\""), std::string::npos)
+      << status.ToString();
+}
+
 // Seeded mutants of a 30-page store's index, in its base and in its
 // blocks: resealed ones (lengths and checksums recomputed, so only the
 // row parsers stand between a mutant and an open store) and raw ones
@@ -415,6 +451,10 @@ TEST_F(StoreDurabilityTest, IndexMutantsFailToOpenOrLoadOrError) {
       continue;
     }
     ++opened;
+    for (const ShardStats& shard : store.Stats().shards) {
+      EXPECT_LE(shard.live_bytes, shard.size_bytes)
+          << "mutant " << i << ", shard " << shard.shard;
+    }
     for (const ContextStore::PageInfo& page : store.Pages()) {
       ASSERT_TRUE(store.Lookup(page.title).has_value()) << "mutant " << i;
       StatusOr<PageState> state = store.Load(page.title);

@@ -261,8 +261,10 @@ endif()
 # observations and a p95 in its 5m horizon.
 scrape(GET /metrics/window window_response)
 json_body(window_response window_json)
-string(JSON revision_count GET "${window_json}" windows revision 5m count)
-string(JSON revision_p95 GET "${window_json}" windows revision 5m p95)
+string(JSON revision_count GET "${window_json}"
+       windows somr_serve_request_seconds_revision 5m count)
+string(JSON revision_p95 GET "${window_json}"
+       windows somr_serve_request_seconds_revision 5m p95)
 if(revision_count EQUAL 0)
   die("/metrics/window shows no revision-endpoint samples:\n${window_json}")
 endif()

@@ -30,20 +30,6 @@ namespace {
 
 using namespace somr;
 
-// Same corpus as `somr_process --demo` so decisions line up with its
-// output.
-std::string DemoDump() {
-  wikigen::CorpusConfig config;
-  config.focal_type = extract::ObjectType::kTable;
-  config.strata_caps = {3, 8};
-  config.pages_per_stratum = 3;
-  config.min_revisions = 25;
-  config.max_revisions = 60;
-  config.seed = 4;
-  return xmldump::WriteDump(
-      wikigen::CorpusToDump(wikigen::GenerateGoldCorpus(config)));
-}
-
 /// Forwards only records of one page (empty filter forwards everything).
 class PageFilterSink : public obs::ProvenanceSink {
  public:
@@ -85,7 +71,7 @@ int main(int argc, char** argv) {
 
   std::string xml;
   if (flags.GetBool("demo")) {
-    xml = DemoDump();
+    xml = xmldump::WriteDump(wikigen::DemoDump());
   } else if (!flags.Positional().empty()) {
     StatusOr<std::string> read = ReadFileToString(flags.Positional()[0]);
     if (!read.ok()) {

@@ -39,18 +39,6 @@ constexpr extract::ObjectType kAllTypes[] = {
     extract::ObjectType::kTable, extract::ObjectType::kInfobox,
     extract::ObjectType::kList};
 
-// Same corpus as `somr_process --demo` so the two tools can be compared.
-xmldump::Dump DemoDump() {
-  wikigen::CorpusConfig config;
-  config.focal_type = extract::ObjectType::kTable;
-  config.strata_caps = {3, 8};
-  config.pages_per_stratum = 3;
-  config.min_revisions = 25;
-  config.max_revisions = 60;
-  config.seed = 4;
-  return wikigen::CorpusToDump(wikigen::GenerateGoldCorpus(config));
-}
-
 int Fail(const Status& status) {
   std::fprintf(stderr, "somr_ingest: %s\n", status.ToString().c_str());
   return 1;
@@ -82,7 +70,7 @@ int RunIngest(state::ContextStore& store, const FlagParser& flags,
     // Scoped so the span ends before obs.Finish() exports the trace.
     SOMR_TRACE_SCOPE_CAT("somr", "somr/run");
     if (flags.GetBool("demo")) {
-      xmldump::Dump dump = DemoDump();
+      xmldump::Dump dump = wikigen::DemoDump();
       if (init) {
         // Prefix: the first half of every page's history.
         for (xmldump::PageHistory& page : dump.pages) {

@@ -28,17 +28,9 @@ namespace {
 
 using namespace somr;
 
-std::string DemoDump() {
+std::string DemoXml() {
   SOMR_TRACE_SCOPE_CAT("somr", "somr/gen_corpus");
-  wikigen::CorpusConfig config;
-  config.focal_type = extract::ObjectType::kTable;
-  config.strata_caps = {3, 8};
-  config.pages_per_stratum = 3;
-  config.min_revisions = 25;
-  config.max_revisions = 60;
-  config.seed = 4;
-  return xmldump::WriteDump(
-      wikigen::CorpusToDump(wikigen::GenerateGoldCorpus(config)));
+  return xmldump::WriteDump(wikigen::DemoDump());
 }
 
 constexpr extract::ObjectType kAllTypes[] = {
@@ -103,7 +95,7 @@ int main(int argc, char** argv) {
     // trace buffer.
     SOMR_TRACE_SCOPE_CAT("somr", "somr/run");
     if (flags.GetBool("demo")) {
-      results = pipeline.ProcessDumpXml(DemoDump(), threads);
+      results = pipeline.ProcessDumpXml(DemoXml(), threads);
     } else if (!flags.Positional().empty()) {
       // Stream <page> blocks so large dumps never need the whole XML in
       // memory.

@@ -39,18 +39,6 @@ namespace {
 
 using namespace somr;
 
-// Same corpus as `somr_process --demo` / `somr_ingest --demo`.
-xmldump::Dump DemoDump() {
-  wikigen::CorpusConfig config;
-  config.focal_type = extract::ObjectType::kTable;
-  config.strata_caps = {3, 8};
-  config.pages_per_stratum = 3;
-  config.min_revisions = 25;
-  config.max_revisions = 60;
-  config.seed = 4;
-  return wikigen::CorpusToDump(wikigen::GenerateGoldCorpus(config));
-}
-
 int Fail(const Status& status) {
   SOMR_LOG(Error) << "somr_serve: " << status.ToString();
   return 1;
@@ -145,7 +133,7 @@ int RunDemoFeed(const FlagParser& flags) {
     return Fail(status);
   }
 
-  xmldump::Dump dump = DemoDump();
+  xmldump::Dump dump = wikigen::DemoDump();
   size_t new_revisions = 0, skipped = 0, pages_skipped = 0;
   for (xmldump::PageHistory& page : dump.pages) {
     if (phase == "first") {
@@ -197,7 +185,7 @@ int RunDemoGraphs(const FlagParser& flags) {
     std::fprintf(stderr, "somr_serve: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  xmldump::Dump dump = DemoDump();
+  xmldump::Dump dump = wikigen::DemoDump();
   for (const xmldump::PageHistory& page : dump.pages) {
     StatusOr<serve::ClientResponse> response = client.Request(
         "GET", "/context/" + serve::PercentEncode(page.title) + "/graph");
