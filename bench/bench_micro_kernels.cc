@@ -25,6 +25,8 @@
 #include "wikigen/evolver.h"
 #include "wikigen/render.h"
 
+#include "report.h"
+
 namespace {
 
 using namespace somr;
@@ -294,10 +296,39 @@ double MeasureNsPerOp(int iters, const std::function<void()>& op) {
   return best;
 }
 
-/// Writes BENCH_matching.json: ns/op of the similarity kernels over
+/// One serve_crawl-shaped crawl capture: the last revision of a wikigen
+/// table page rendered with web chrome (site header, navigation, sidebar
+/// and footer around the content).
+std::string CrawlCapture() {
+  wikigen::EvolverConfig config;
+  config.focal_type = extract::ObjectType::kTable;
+  config.max_focal_objects = 6;
+  config.num_revisions = 60;
+  config.seed = 9;
+  config.html_web_chrome = true;
+  return wikigen::PageEvolver(config).Generate().revisions.back().html;
+}
+
+/// One rendered `"name": value` member of the report.
+std::string Member(const char* name, double ns) {
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "\"%s\": %.1f", name, ns);
+  return buf;
+}
+
+std::string StringAndFlat(const char* name, double string_ns,
+                          double flat_ns) {
+  char buf[128];
+  std::snprintf(buf, sizeof buf, "\"%s\": {\"string\": %.1f, \"flat\": %.1f}",
+                name, string_ns, flat_ns);
+  return buf;
+}
+
+/// Merges into BENCH_matching.json: ns/op of the similarity kernels over
 /// string-hash bags (the reference matcher's building blocks) and over
 /// interned FlatBag merge-joins (the matcher's), the full matching step,
-/// and FlatBag compilation per Socrata-sized table.
+/// FlatBag compilation per Socrata-sized table, and parse + extract of
+/// one crawl capture.
 int WriteJsonReport(const std::string& path) {
   Rng rng(1);
   constexpr int kTokens = 256;
@@ -331,25 +362,23 @@ int WriteJsonReport(const std::string& path) {
   double build_flat_bag =
       MeasureNsPerOp(200, [&] { BuildFlatBags(tables, table_pool); }) /
       static_cast<double>(tables.size());
+  const std::string capture = CrawlCapture();
+  double parse_extract_html = MeasureNsPerOp(500, [&] {
+    benchmark::DoNotOptimize(extract::ExtractFromHtmlSource(capture));
+  });
 
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+  const std::string members[] = {
+      StringAndFlat("sum_min_ruzicka", sum_min_string, sum_min_flat),
+      StringAndFlat("weighted_ruzicka", weighted_string, weighted_flat),
+      Member("matching_step", step), Member("build_flat_bag", build_flat_bag),
+      Member("parse_extract_html", parse_extract_html)};
+  if (!bench::MergeSection(path, "",
+                           "\"tokens_per_bag\": " + std::to_string(kTokens))) {
     return 1;
   }
-  std::fprintf(f,
-               "{\n"
-               "  \"tokens_per_bag\": %d,\n"
-               "  \"ns_per_op\": {\n"
-               "    \"sum_min_ruzicka\": {\"string\": %.1f, \"flat\": %.1f},\n"
-               "    \"weighted_ruzicka\": {\"string\": %.1f, \"flat\": %.1f},\n"
-               "    \"matching_step\": %.1f,\n"
-               "    \"build_flat_bag\": %.1f\n"
-               "  }\n"
-               "}\n",
-               kTokens, sum_min_string, sum_min_flat, weighted_string,
-               weighted_flat, step, build_flat_bag);
-  std::fclose(f);
+  for (const std::string& member : members) {
+    if (!bench::MergeSection(path, "ns_per_op", member)) return 1;
+  }
   std::printf("wrote %s\n", path.c_str());
   std::printf("sum_min_ruzicka   string %8.1f ns  flat %8.1f ns\n",
               sum_min_string, sum_min_flat);
@@ -358,6 +387,8 @@ int WriteJsonReport(const std::string& path) {
   std::printf("matching_step     %8.1f ns\n", step);
   std::printf("build_flat_bag    %8.1f ns per Socrata table\n",
               build_flat_bag);
+  std::printf("parse_extract_html %7.1f ns per %zu-byte crawl capture\n",
+              parse_extract_html, capture.size());
   return 0;
 }
 

@@ -8,8 +8,8 @@ namespace somr::extract {
 
 namespace {
 
-int HeadingLevel(const html::Node& node) {
-  const std::string& tag = node.tag();
+int HeadingLevel(html::Node node) {
+  const std::string_view tag = node.tag();
   if (tag.size() == 2 && tag[0] == 'h' && tag[1] >= '1' && tag[1] <= '6') {
     return tag[1] - '0';
   }
@@ -20,53 +20,58 @@ class HtmlWalker {
  public:
   explicit HtmlWalker(PageObjects& out) : out_(out) {}
 
-  void Walk(const html::Node& node) {
-    if (node.type() == html::NodeType::kElement) {
-      // Page chrome is not content: navigation menus, site headers,
-      // footers and sidebars hold lists/tables that no human would call
-      // objects of the page.
-      if (node.IsElement("nav") || node.IsElement("header") ||
-          node.IsElement("footer") || node.IsElement("aside") ||
-          node.Attribute("role") == "navigation") {
-        return;
-      }
-      // Layout tables are presentation, not data.
-      if (node.IsElement("table") &&
-          (node.Attribute("role") == "presentation" ||
-           node.HasClass("layout") || node.HasClass("navbox"))) {
-        return;
-      }
-      int level = HeadingLevel(node);
-      if (level == 1) {
-        // <h1> is the page title, not a section (the wikitext side has no
-        // level-1 headings either); it resets any open sections.
-        sections_.clear();
-        return;
-      }
-      if (level > 1) {
-        while (!sections_.empty() && sections_.back().level >= level) {
-          sections_.pop_back();
-        }
-        sections_.push_back({level, node.InnerText()});
-        return;  // heading content handled
-      }
-      if (node.IsElement("table")) {
-        if (node.HasClass("infobox")) {
-          Emit(ExtractInfobox(node));
-        } else {
-          Emit(ExtractTable(node));
-        }
-        return;  // do not extract nested objects separately
-      }
-      if (node.IsElement("ul") || node.IsElement("ol")) {
-        Emit(ExtractList(node));
-        return;
-      }
+  void Walk(html::Node root) {
+    for (html::Node node = root; node; node = node.Next(root, Visit(node))) {
     }
-    for (const auto& child : node.children()) Walk(*child);
   }
 
  private:
+  /// Handles one node of the walk; true when its children are walked too.
+  bool Visit(html::Node node) {
+    if (node.type() != html::NodeType::kElement) return true;
+    // Page chrome is not content: navigation menus, site headers,
+    // footers and sidebars hold lists/tables that no human would call
+    // objects of the page.
+    if (node.IsElement("nav") || node.IsElement("header") ||
+        node.IsElement("footer") || node.IsElement("aside") ||
+        node.Attribute("role") == "navigation") {
+      return false;
+    }
+    // Layout tables are presentation, not data.
+    if (node.IsElement("table") &&
+        (node.Attribute("role") == "presentation" ||
+         node.HasClass("layout") || node.HasClass("navbox"))) {
+      return false;
+    }
+    int level = HeadingLevel(node);
+    if (level == 1) {
+      // <h1> is the page title, not a section (the wikitext side has no
+      // level-1 headings either); it resets any open sections.
+      sections_.clear();
+      return false;
+    }
+    if (level > 1) {
+      while (!sections_.empty() && sections_.back().level >= level) {
+        sections_.pop_back();
+      }
+      sections_.push_back({level, node.InnerText()});
+      return false;  // heading content handled
+    }
+    if (node.IsElement("table")) {
+      if (node.HasClass("infobox")) {
+        Emit(ExtractInfobox(node));
+      } else {
+        Emit(ExtractTable(node));
+      }
+      return false;  // do not extract nested objects separately
+    }
+    if (IsList(node)) {
+      Emit(ExtractList(node));
+      return false;
+    }
+    return true;
+  }
+
   struct Section {
     int level;
     std::string title;
@@ -80,43 +85,44 @@ class HtmlWalker {
     bucket.push_back(std::move(obj));
   }
 
-  static std::vector<const html::Node*> TableRows(const html::Node& table) {
-    std::vector<const html::Node*> rows;
+  static std::vector<html::Node> TableRows(html::Node table) {
+    std::vector<html::Node> rows;
     // Direct rows plus rows under thead/tbody/tfoot.
-    for (const auto& child : table.children()) {
-      if (child->IsElement("tr")) {
-        rows.push_back(child.get());
-      } else if (child->IsElement("thead") || child->IsElement("tbody") ||
-                 child->IsElement("tfoot")) {
-        for (const auto& grandchild : child->children()) {
-          if (grandchild->IsElement("tr")) rows.push_back(grandchild.get());
-        }
+    for (html::Node child = table.first_child(); child;
+         child = child.next_sibling()) {
+      if (child.IsElement("tr")) {
+        rows.push_back(child);
+      } else if (child.IsElement("thead") || child.IsElement("tbody") ||
+                 child.IsElement("tfoot")) {
+        std::vector<html::Node> trs = child.ChildElements("tr");
+        rows.insert(rows.end(), trs.begin(), trs.end());
       }
     }
     return rows;
   }
 
-  static ObjectInstance ExtractTable(const html::Node& table) {
+  static std::string Caption(html::Node table) {
+    std::vector<html::Node> captions = table.ChildElements("caption");
+    return captions.empty() ? std::string() : captions[0].InnerText();
+  }
+
+  static ObjectInstance ExtractTable(html::Node table) {
     ObjectInstance obj;
     obj.type = ObjectType::kTable;
-    for (const auto& child : table.children()) {
-      if (child->IsElement("caption")) {
-        obj.caption = child->InnerText();
-        break;
-      }
-    }
+    obj.caption = Caption(table);
     std::vector<std::vector<SpannedCell>> spanned;
-    for (const html::Node* tr : TableRows(table)) {
+    for (html::Node tr : TableRows(table)) {
       std::vector<SpannedCell> cells;
-      for (const auto& cell : tr->children()) {
-        if (cell->IsElement("td") || cell->IsElement("th")) {
+      for (html::Node cell = tr.first_child(); cell;
+           cell = cell.next_sibling()) {
+        if (cell.IsElement("td") || cell.IsElement("th")) {
           SpannedCell spanned_cell;
-          spanned_cell.text = cell->InnerText();
-          spanned_cell.header = cell->IsElement("th");
+          spanned_cell.text = cell.InnerText();
+          spanned_cell.header = cell.IsElement("th");
           spanned_cell.colspan =
-              ParseSpanValue(std::string(cell->Attribute("colspan")));
+              ParseSpanValue(std::string(cell.Attribute("colspan")));
           spanned_cell.rowspan =
-              ParseSpanValue(std::string(cell->Attribute("rowspan")));
+              ParseSpanValue(std::string(cell.Attribute("rowspan")));
           cells.push_back(std::move(spanned_cell));
         }
       }
@@ -132,22 +138,18 @@ class HtmlWalker {
     return obj;
   }
 
-  static ObjectInstance ExtractInfobox(const html::Node& table) {
+  static ObjectInstance ExtractInfobox(html::Node table) {
     ObjectInstance obj;
     obj.type = ObjectType::kInfobox;
-    for (const auto& child : table.children()) {
-      if (child->IsElement("caption")) {
-        obj.caption = child->InnerText();
-        break;
-      }
-    }
-    for (const html::Node* tr : TableRows(table)) {
+    obj.caption = Caption(table);
+    for (html::Node tr : TableRows(table)) {
       std::string key, value;
-      for (const auto& cell : tr->children()) {
-        if (cell->IsElement("th")) {
-          key = cell->InnerText();
-        } else if (cell->IsElement("td")) {
-          value = cell->InnerText();
+      for (html::Node cell = tr.first_child(); cell;
+           cell = cell.next_sibling()) {
+        if (cell.IsElement("th")) {
+          key = cell.InnerText();
+        } else if (cell.IsElement("td")) {
+          value = cell.InnerText();
         }
       }
       if (key.empty() && value.empty()) continue;
@@ -157,41 +159,36 @@ class HtmlWalker {
     return obj;
   }
 
-  static ObjectInstance ExtractList(const html::Node& list) {
-    ObjectInstance obj;
-    obj.type = ObjectType::kList;
-    CollectItems(list, obj);
-    return obj;
+  static bool IsList(html::Node node) {
+    return node.IsElement("ul") || node.IsElement("ol");
   }
 
-  static void CollectItems(const html::Node& list, ObjectInstance& obj) {
-    for (const auto& child : list.children()) {
-      // A sub-list can be nested inside an <li> or appear as a direct
-      // child of the list (both occur in the wild).
-      if (child->IsElement("ul") || child->IsElement("ol")) {
-        CollectItems(*child, obj);
-        continue;
-      }
-      if (!child->IsElement("li")) continue;
-      // The item's own text excludes nested sub-lists, which become
-      // additional items of the same object below.
-      std::string own_text;
-      for (const auto& grandchild : child->children()) {
-        if (grandchild->IsElement("ul") || grandchild->IsElement("ol")) {
-          continue;
+  /// One item per <li> of the list or of a sub-list, in document order. A
+  /// sub-list can be nested inside an <li> or appear as a direct child of
+  /// the list (both occur in the wild); an item's own text excludes its
+  /// sub-lists, whose items follow it in the same object.
+  static ObjectInstance ExtractList(html::Node list) {
+    ObjectInstance obj;
+    obj.type = ObjectType::kList;
+    html::Node node = list;
+    while (node) {
+      bool descend = IsList(node);
+      if (node.IsElement("li") && IsList(node.parent())) {
+        std::string own_text;
+        for (html::Node child = node.first_child(); child;
+             child = child.next_sibling()) {
+          if (IsList(child)) continue;
+          std::string piece = child.InnerText();
+          if (piece.empty()) continue;
+          if (!own_text.empty()) own_text.push_back(' ');
+          own_text.append(piece);
         }
-        std::string piece = grandchild->InnerText();
-        if (piece.empty()) continue;
-        if (!own_text.empty()) own_text.push_back(' ');
-        own_text.append(piece);
+        obj.rows.push_back({std::move(own_text)});
+        descend = true;  // to its sub-lists; other children are skipped
       }
-      obj.rows.push_back({std::move(own_text)});
-      for (const auto& grandchild : child->children()) {
-        if (grandchild->IsElement("ul") || grandchild->IsElement("ol")) {
-          CollectItems(*grandchild, obj);
-        }
-      }
+      node = node.Next(list, descend);
     }
+    return obj;
   }
 
   PageObjects& out_;
@@ -200,21 +197,20 @@ class HtmlWalker {
 
 }  // namespace
 
-PageObjects ExtractFromHtml(const html::Node& document) {
+PageObjects ExtractFromHtml(const html::Document& document) {
   SOMR_TRACE_SCOPE_CAT("extract", "extract/html");
   PageObjects objects;
   HtmlWalker walker(objects);
-  walker.Walk(document);
+  walker.Walk(document.root());
   return objects;
 }
 
 PageObjects ExtractFromHtmlSource(std::string_view source) {
-  std::unique_ptr<html::Node> doc;
-  {
+  const html::Document doc = [source] {
     SOMR_TRACE_SCOPE_CAT("extract", "parse/html");
-    doc = html::ParseHtml(source);
-  }
-  return ExtractFromHtml(*doc);
+    return html::ParseHtml(source);
+  }();
+  return ExtractFromHtml(doc);
 }
 
 }  // namespace somr::extract

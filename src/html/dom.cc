@@ -5,9 +5,6 @@
 
 namespace somr::html {
 
-namespace {
-
-// Elements that never have children and are serialized without end tags.
 bool IsVoidElement(std::string_view tag) {
   return tag == "area" || tag == "base" || tag == "br" || tag == "col" ||
          tag == "embed" || tag == "hr" || tag == "img" || tag == "input" ||
@@ -15,136 +12,92 @@ bool IsVoidElement(std::string_view tag) {
          tag == "track" || tag == "wbr";
 }
 
-}  // namespace
-
-std::unique_ptr<Node> Node::MakeDocument() {
-  return std::unique_ptr<Node>(new Node(NodeType::kDocument));
-}
-
-std::unique_ptr<Node> Node::MakeElement(std::string tag) {
-  auto node = std::unique_ptr<Node>(new Node(NodeType::kElement));
-  node->tag_ = std::move(tag);
-  return node;
-}
-
-std::unique_ptr<Node> Node::MakeText(std::string text) {
-  auto node = std::unique_ptr<Node>(new Node(NodeType::kText));
-  node->text_ = std::move(text);
-  return node;
-}
-
-std::unique_ptr<Node> Node::MakeComment(std::string text) {
-  auto node = std::unique_ptr<Node>(new Node(NodeType::kComment));
-  node->text_ = std::move(text);
-  return node;
-}
-
-Node* Node::AppendChild(std::unique_ptr<Node> child) {
-  child->parent_ = this;
-  children_.push_back(std::move(child));
-  return children_.back().get();
-}
-
 std::string_view Node::Attribute(std::string_view key) const {
-  for (const auto& [name, value] : attributes_) {
-    if (name == key) return value;
+  for (const html::Attribute& attribute : attributes()) {
+    if (attribute.name == key) return attribute.value;
   }
   return {};
 }
 
 bool Node::HasAttribute(std::string_view key) const {
-  for (const auto& [name, value] : attributes_) {
-    if (name == key) return true;
+  for (const html::Attribute& attribute : attributes()) {
+    if (attribute.name == key) return true;
   }
   return false;
 }
 
-void Node::SetAttribute(std::string key, std::string value) {
-  for (auto& [name, existing] : attributes_) {
-    if (name == key) {
-      existing = std::move(value);
-      return;
-    }
-  }
-  attributes_.emplace_back(std::move(key), std::move(value));
-}
-
-std::vector<const Node*> Node::Descendants(std::string_view tag_name) const {
-  std::vector<const Node*> result;
-  // Iterative DFS in document order.
-  std::vector<const Node*> stack;
-  for (auto it = children_.rbegin(); it != children_.rend(); ++it) {
-    stack.push_back(it->get());
-  }
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    if (node->IsElement(tag_name)) result.push_back(node);
-    for (auto it = node->children_.rbegin(); it != node->children_.rend();
-         ++it) {
-      stack.push_back(it->get());
-    }
+std::vector<Node> Node::Descendants(std::string_view tag_name) const {
+  std::vector<Node> result;
+  for (Node node = Next(*this); node; node = node.Next(*this)) {
+    if (node.IsElement(tag_name)) result.push_back(node);
   }
   return result;
 }
 
-std::vector<const Node*> Node::ChildElements(std::string_view tag_name) const {
-  std::vector<const Node*> result;
-  for (const auto& child : children_) {
-    if (child->IsElement(tag_name)) result.push_back(child.get());
+std::vector<Node> Node::ChildElements(std::string_view tag_name) const {
+  std::vector<Node> result;
+  for (Node child = first_child(); child; child = child.next_sibling()) {
+    if (child.IsElement(tag_name)) result.push_back(child);
   }
   return result;
-}
-
-void Node::CollectText(std::string& out) const {
-  if (type_ == NodeType::kText) {
-    out.append(text_);
-    out.push_back(' ');
-    return;
-  }
-  for (const auto& child : children_) child->CollectText(out);
 }
 
 std::string Node::InnerText() const {
   std::string raw;
-  CollectText(raw);
-  return CollapseWhitespace(raw);
-}
-
-void Node::SerializeTo(std::string& out) const {
-  switch (type_) {
-    case NodeType::kDocument:
-      for (const auto& child : children_) child->SerializeTo(out);
-      break;
-    case NodeType::kText:
-      out.append(EscapeEntities(text_));
-      break;
-    case NodeType::kComment:
-      out.append("<!--").append(text_).append("-->");
-      break;
-    case NodeType::kElement: {
-      out.push_back('<');
-      out.append(tag_);
-      for (const auto& [name, value] : attributes_) {
-        out.push_back(' ');
-        out.append(name);
-        out.append("=\"");
-        out.append(EscapeEntities(value));
-        out.push_back('"');
-      }
-      out.push_back('>');
-      if (IsVoidElement(tag_)) return;
-      for (const auto& child : children_) child->SerializeTo(out);
-      out.append("</").append(tag_).push_back('>');
-      break;
+  for (Node node = *this; node; node = node.Next(*this)) {
+    if (node.type() == NodeType::kText) {
+      raw.append(node.data().name);
+      raw.push_back(' ');
     }
   }
+  return CollapseWhitespace(raw);
 }
 
 std::string Node::OuterHtml() const {
   std::string out;
-  SerializeTo(out);
-  return out;
+  // An element's end tag is written when the walk leaves it: at once when
+  // it has no children, else on the climb back from its last descendant.
+  auto close = [&out](Node node) {
+    if (node.type() == NodeType::kElement && !IsVoidElement(node.tag())) {
+      out.append("</").append(node.tag()).push_back('>');
+    }
+  };
+  Node node = *this;
+  while (true) {
+    switch (node.type()) {
+      case NodeType::kDocument:
+        break;
+      case NodeType::kText:
+        out.append(EscapeEntities(node.text()));
+        break;
+      case NodeType::kComment:
+        out.append("<!--").append(node.text()).append("-->");
+        break;
+      case NodeType::kElement:
+        out.push_back('<');
+        out.append(node.tag());
+        for (const html::Attribute& attribute : node.attributes()) {
+          out.push_back(' ');
+          out.append(attribute.name);
+          out.append("=\"");
+          out.append(EscapeEntities(attribute.value));
+          out.push_back('"');
+        }
+        out.push_back('>');
+        break;
+    }
+    if (node.first_child()) {
+      node = node.first_child();
+      continue;
+    }
+    close(node);
+    while (node != *this && !node.next_sibling()) {
+      node = node.parent();
+      close(node);
+    }
+    if (node == *this) return out;
+    node = node.next_sibling();
+  }
 }
 
 bool Node::HasClass(std::string_view cls) const {
@@ -156,8 +109,8 @@ bool Node::HasClass(std::string_view cls) const {
 }
 
 size_t Node::SubtreeSize() const {
-  size_t total = 1;
-  for (const auto& child : children_) total += child->SubtreeSize();
+  size_t total = 0;
+  for (Node node = *this; node; node = node.Next(*this)) ++total;
   return total;
 }
 

@@ -229,7 +229,7 @@ Histogram* MetricsRegistry::FindOrAddHistogram(
     h.first_cell_ = 0;
     h.sum_cell_ = 0;
   }
-  if (windowed) {
+  if (windowed && fits) {
     h.window_ =
         std::make_unique<internal::WindowRing>(cells, growth, slo_threshold);
   }

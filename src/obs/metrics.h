@@ -46,8 +46,9 @@ namespace internal {
 // Cell budget of one per-thread shard. Counters take one u64 cell each;
 // histograms take (buckets + 1) u64 cells (bucket counts incl. overflow)
 // plus one f64 cell (sum of observations). Cell 0 of each array is a
-// shared scratch sink used when the budget is exhausted, so metric
-// updates never fail — the overflowing metric just reads as 0.
+// shared scratch sink for counters past the budget, so metric updates
+// never fail — the overflowing metric just reads as 0 (a histogram past
+// the budget counts nothing at all).
 constexpr size_t kMaxU64Cells = 1024;
 constexpr size_t kMaxF64Cells = 128;
 
@@ -200,10 +201,13 @@ class Histogram {
  private:
   friend class MetricsRegistry;
 
-  /// Counts `v` in the calling thread's cells; returns its bucket.
+  /// Counts `v` in the calling thread's cells; returns its bucket. A
+  /// histogram registered past the cell budget has no cells and counts
+  /// nothing, so it reads as 0.
   size_t Count(double v) {
-    internal::MetricShard& shard = internal::LocalShard();
     const size_t bucket = BucketFor(v);
+    if (first_cell_ == 0) return bucket;
+    internal::MetricShard& shard = internal::LocalShard();
     shard.u64[first_cell_ + bucket].fetch_add(1, std::memory_order_relaxed);
     internal::AtomicAddDouble(shard.f64[sum_cell_], v);
     return bucket;

@@ -69,14 +69,20 @@ std::string DropTags(std::string_view s) {
 
 namespace {
 
+/// Invocations nested deeper than this render as nothing, as an unknown
+/// template does: MediaWiki's own limit ($wgMaxTemplateDepth). It bounds
+/// the rescans of a cell to this many, and the recursion to this depth.
+constexpr int kMaxTemplateDepth = 40;
+
 /// Renders an inline template invocation `{{name|p1|k=v|...}}` the way a
 /// reader sees it, approximately: positional parameter values joined by
 /// spaces (covers {{start date|2001|2|3}} -> "2001 2 3"); named
 /// parameters' values included, keys dropped. Unknown no-parameter
-/// templates ({{citation needed}}) render to nothing.
-std::string ExpandInlineTemplates(std::string_view s);
+/// templates ({{citation needed}}) render to nothing. Render's `nesting`
+/// counts the invocation itself and those around it.
+std::string ExpandInlineTemplates(std::string_view s, int nesting);
 
-std::string RenderInlineTemplate(std::string_view body) {
+std::string RenderInlineTemplate(std::string_view body, int nesting) {
   std::string out;
   int brace_depth = 0, bracket_depth = 0;
   size_t start = 0;
@@ -95,7 +101,7 @@ std::string RenderInlineTemplate(std::string_view body) {
     if (value.empty()) return;
     if (!out.empty()) out.push_back(' ');
     if (value.find("{{") != std::string_view::npos) {
-      out.append(ExpandInlineTemplates(value));  // nested templates
+      out.append(ExpandInlineTemplates(value, nesting));  // nested templates
     } else {
       out.append(value);
     }
@@ -132,8 +138,9 @@ std::string RenderInlineTemplate(std::string_view body) {
   return out;
 }
 
-/// Replaces top-level `{{...}}` invocations with their rendered text.
-std::string ExpandInlineTemplates(std::string_view s) {
+/// Replaces top-level `{{...}}` invocations with their rendered text;
+/// `nesting` invocations enclose `s`.
+std::string ExpandInlineTemplates(std::string_view s, int nesting) {
   std::string out;
   out.reserve(s.size());
   size_t i = 0;
@@ -161,7 +168,10 @@ std::string ExpandInlineTemplates(std::string_view s) {
         ++j;
       }
       if (end != std::string_view::npos) {
-        out.append(RenderInlineTemplate(s.substr(i + 2, end - i - 4)));
+        if (nesting < kMaxTemplateDepth) {
+          out.append(RenderInlineTemplate(s.substr(i + 2, end - i - 4),
+                                          nesting + 1));
+        }
         i = end;
         continue;
       }
@@ -186,7 +196,7 @@ std::string StripInlineMarkup(std::string_view input) {
   }
   std::string tmpl_buf;
   if (s.find("{{") != std::string_view::npos) {
-    tmpl_buf = ExpandInlineTemplates(s);
+    tmpl_buf = ExpandInlineTemplates(s, 0);
     s = tmpl_buf;
   }
   std::string link_buf;

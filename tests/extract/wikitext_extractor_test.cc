@@ -151,5 +151,28 @@ TEST(WikitextExtractorTest, HtmlCommentsStripped) {
   EXPECT_EQ(objects.tables[0].rows[0][0], "keep");
 }
 
+TEST(WikitextExtractorTest, DeeplyNestedInlineTemplatesExtract) {
+  // 200,000 nested {{a|...}} (1.2 MB): expansion stops at MediaWiki's
+  // template depth limit, so the cell and the infobox value still come
+  // out, holding what the first 40 levels render.
+  std::string deep;
+  for (int i = 0; i < 200000; ++i) deep += "{{a|";
+  deep += "leaf";
+  for (int i = 0; i < 200000; ++i) deep += "}}";
+  PageObjects table = ExtractFromWikitextSource(
+      "{|\n|-\n! k !! v\n|-\n| cell " + deep + " || after\n|}\n");
+  ASSERT_EQ(table.tables.size(), 1u);
+  ASSERT_EQ(table.tables[0].rows.size(), 2u);
+  EXPECT_EQ(table.tables[0].rows[1],
+            (std::vector<std::string>{"cell", "after"}));
+  PageObjects infobox = ExtractFromWikitextSource(
+      "{{Infobox person\n| name = Jane " + deep +
+      "\n| occupation = actress\n}}\n");
+  ASSERT_EQ(infobox.infoboxes.size(), 1u);
+  EXPECT_EQ(infobox.infoboxes[0].rows,
+            (std::vector<std::vector<std::string>>{
+                {"name", "Jane"}, {"occupation", "actress"}}));
+}
+
 }  // namespace
 }  // namespace somr::extract

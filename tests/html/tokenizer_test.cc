@@ -1,8 +1,10 @@
-#include "html/tokenizer.h"
+// Tests of the reference tokenizer (tests/html/reference), which the
+// differential tests trust; html::ParseHtml tokenizes without a token list.
+#include "reference/tokenizer.h"
 
 #include <gtest/gtest.h>
 
-namespace somr::html {
+namespace somr::html::reference {
 namespace {
 
 TEST(HtmlTokenizerTest, SimpleElement) {
@@ -97,4 +99,4 @@ TEST(HtmlTokenizerTest, EmptyInput) {
 }
 
 }  // namespace
-}  // namespace somr::html
+}  // namespace somr::html::reference

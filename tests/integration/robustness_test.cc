@@ -73,9 +73,8 @@ TEST_P(ParserFuzz, HtmlParserIsTotal) {
   std::string source = page.revisions.back().html;
   for (int round = 0; round < 20; ++round) {
     std::string mutated = Mutate(source, rng, 1 + round);
-    std::unique_ptr<html::Node> doc = html::ParseHtml(mutated);
-    ASSERT_NE(doc, nullptr);
-    doc->OuterHtml();  // serialization must not crash either
+    const html::Document doc = html::ParseHtml(mutated);
+    doc.root().OuterHtml();  // serialization must not crash either
     extract::ExtractFromHtmlSource(mutated);
   }
 }
@@ -114,19 +113,63 @@ TEST(RobustnessTest, PureGarbageInputs) {
   }
 }
 
+std::string Repeat(std::string_view piece, int times) {
+  std::string out;
+  out.reserve(piece.size() * static_cast<size_t>(times));
+  for (int i = 0; i < times; ++i) out.append(piece);
+  return out;
+}
+
 TEST(RobustnessTest, PathologicalMarkup) {
   // Deeply "nested" and unbalanced constructs must not recurse or loop.
   std::string opens(20000, '{');
   wikitext::ParseWikitext(opens);
   std::string brackets(20000, '[');
   wikitext::ParseWikitext(brackets);
-  std::string tags;
-  for (int i = 0; i < 5000; ++i) tags += "<div>";
-  html::ParseHtml(tags);
   std::string mixed = "{|\n";
   for (int i = 0; i < 5000; ++i) mixed += "|-\n| x\n";
   wikitext::Document doc = wikitext::ParseWikitext(mixed);
   EXPECT_EQ(doc.elements.size(), 1u);
+  // HTML: every walk over a Document is a loop, so nesting depth costs
+  // heap, not stack. Extraction, serialization, subtree size and teardown
+  // all reach the innermost node of a million open elements.
+  constexpr int kDepth = 1000000;
+  {
+    const std::string input =
+        Repeat("<div>", kDepth) +
+        "<table><tr><th>k</th><td>deep</td></tr></table>";
+    extract::PageObjects objects = extract::ExtractFromHtmlSource(input);
+    ASSERT_EQ(objects.tables.size(), 1u);
+    EXPECT_EQ(objects.tables[0].rows,
+              (std::vector<std::vector<std::string>>{{"k", "deep"}}));
+    const html::Document dom = html::ParseHtml(input);
+    EXPECT_EQ(dom.root().SubtreeSize(), 1u + kDepth + 6u);
+    const std::string outer = dom.root().OuterHtml();
+    EXPECT_EQ(outer.size(), input.size() + 6u * kDepth);  // + the </div>s
+    EXPECT_EQ(outer.substr(outer.size() - 12), "</div></div>");
+  }
+  {
+    const std::string input = Repeat("<ul><li>", kDepth) + "deepest";
+    extract::PageObjects objects = extract::ExtractFromHtmlSource(input);
+    ASSERT_EQ(objects.lists.size(), 1u);
+    ASSERT_EQ(objects.lists[0].rows.size(), static_cast<size_t>(kDepth));
+    EXPECT_EQ(objects.lists[0].rows.back(),
+              (std::vector<std::string>{"deepest"}));
+    const html::Document dom = html::ParseHtml(input);
+    EXPECT_EQ(dom.root().SubtreeSize(), 2u + 2u * kDepth);
+    EXPECT_EQ(dom.root().OuterHtml(), input + Repeat("</li></ul>", kDepth));
+  }
+  {
+    const std::string input = Repeat("<table><tr><td>", kDepth) + "innermost";
+    extract::PageObjects objects = extract::ExtractFromHtmlSource(input);
+    ASSERT_EQ(objects.tables.size(), 1u);
+    EXPECT_EQ(objects.tables[0].rows,
+              (std::vector<std::vector<std::string>>{{"innermost"}}));
+    const html::Document dom = html::ParseHtml(input);
+    EXPECT_EQ(dom.root().SubtreeSize(), 2u + 3u * kDepth);
+    EXPECT_EQ(dom.root().OuterHtml(),
+              input + Repeat("</td></tr></table>", kDepth));
+  }
 }
 
 TEST(RobustnessTest, MatcherToleratesAdversarialPositions) {

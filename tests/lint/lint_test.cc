@@ -97,6 +97,23 @@ TEST(LintFixtureTest, CoreIsInRegexAndStderrScope) {
   EXPECT_EQ(r.diagnostics.size(), 4u);
 }
 
+TEST(LintFixtureTest, ParsersAreInRegexScope) {
+  // Every POST runs the HTML or wikitext parser and extractor, and every
+  // dump the xmldump reader: their directories are hot paths too.
+  LintResult r = LintFixture("src/html/uses_regex.cc");
+  EXPECT_EQ(CountRule(r, "regex-in-hot-path"), 3u);  // include + 2 uses
+  EXPECT_EQ(r.diagnostics.size(), 3u);
+  const std::string content = ReadFixture("src/html/uses_regex.cc");
+  for (const char* path : {"src/extract/uses_regex.cc",
+                           "src/wikitext/uses_regex.cc",
+                           "src/xmldump/uses_regex.cc"}) {
+    EXPECT_EQ(CountRule(LintContent(path, content, {}, nullptr),
+                        "regex-in-hot-path"),
+              3u)
+        << path;
+  }
+}
+
 TEST(LintFixtureTest, RegexRuleIsPathScoped) {
   // The same content outside src/matching//src/sim is allowed.
   std::string content = ReadFixture("src/matching/uses_regex.cc");

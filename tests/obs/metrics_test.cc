@@ -1,7 +1,10 @@
 #include "obs/metrics.h"
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -199,6 +202,62 @@ TEST_F(MetricsTest, ResetZeroesValuesButKeepsDefinitions) {
   reg.ResetValuesForTest();
   EXPECT_EQ(c->Value(), 0u);
   EXPECT_EQ(reg.GetCounter("test_reset_total", "c"), c);
+}
+
+/// The text scrape of every metric whose lines do not contain `skip`.
+std::string RenderAllBut(const std::string& skip) {
+  std::istringstream lines(
+      RenderMetricsText(MetricsRegistry::Global().Scrape()));
+  std::string out;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find(skip) == std::string::npos) out += line + "\n";
+  }
+  return out;
+}
+
+/// Run in a forked child, so the exhausted budget stays out of the other
+/// tests: fills every u64 cell with counters, or every f64 cell with
+/// histograms, each holding a value, then registers and observes one
+/// more histogram. It must read 0 and leave every earlier metric as it
+/// was; the exit code and stderr say whether both held.
+void ObserveHistogramPastTheBudget(bool fill_f64_cells) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const size_t cells =
+      fill_f64_cells ? internal::kMaxF64Cells : internal::kMaxU64Cells;
+  for (size_t i = 0; i < cells; ++i) {
+    const std::string name = "budget_filler_" + std::to_string(i);
+    if (fill_f64_cells) {
+      registry.GetHistogram(name, "", 1.0, 2.0, 1)->Observe(0.5);
+    } else {
+      registry.GetCounter(name, "")->Increment(i + 1);
+    }
+  }
+  const std::string before = RenderAllBut("budget_late");
+  Histogram* late = registry.GetHistogram("budget_late", "", 1.0, 2.0, 8);
+  for (double v : {0.5, 3.0, 100.0, 1e9}) late->Observe(v);
+  bool late_reads_zero = false;
+  for (const MetricsSnapshot::HistogramRow& row :
+       registry.Scrape().histograms) {
+    if (row.name == "budget_late") {
+      late_reads_zero = row.total_count == 0 && row.sum == 0.0;
+    }
+  }
+  const bool intact = RenderAllBut("budget_late") == before;
+  std::fprintf(stderr, "late reads zero: %d, earlier metrics intact: %d\n",
+               late_reads_zero, intact);
+  std::exit(late_reads_zero && intact ? 0 : 1);
+}
+
+TEST(MetricsBudgetDeathTest, HistogramPastTheU64BudgetCountsNothing) {
+  EXPECT_EXIT(ObserveHistogramPastTheBudget(/*fill_f64_cells=*/false),
+              ::testing::ExitedWithCode(0),
+              "late reads zero: 1, earlier metrics intact: 1");
+}
+
+TEST(MetricsBudgetDeathTest, HistogramPastTheF64BudgetCountsNothing) {
+  EXPECT_EXIT(ObserveHistogramPastTheBudget(/*fill_f64_cells=*/true),
+              ::testing::ExitedWithCode(0),
+              "late reads zero: 1, earlier metrics intact: 1");
 }
 
 }  // namespace

@@ -614,5 +614,39 @@ TEST_F(ServerTest, TruncatedBodyIs400AndLeavesContextUntouched) {
   EXPECT_EQ(after.body, before.body);
 }
 
+// A crawl capture nested 100,000 <div> deep around a table: parsing and
+// every walk over the document are loops, so the capture costs heap, not
+// the shard worker's stack. The table is matched into the context's
+// graph, and the daemon stays up to answer /healthz.
+TEST_F(ServerTest, DeeplyNestedHtmlCaptureIsIngested) {
+  OpenStore(/*create=*/true);
+  StartServer(8);
+
+  xmldump::PageHistory page;
+  page.title = "Deep capture";
+  page.page_id = 7;
+  xmldump::Revision capture;
+  capture.id = 1;
+  capture.timestamp = 1000000;
+  capture.model = "html";
+  for (int i = 0; i < 100000; ++i) capture.text += "<div>";
+  capture.text +=
+      "<table><tr><th>year</th><th>title</th></tr>"
+      "<tr><td>2001</td><td>A Film</td></tr></table>";
+  page.revisions.push_back(capture);
+  const std::string context = "/context/" + PercentEncode(page.title);
+  const ClientResponse response =
+      Post(context + "/revision", PageXml(page));
+  EXPECT_EQ(response.status, 200) << response.body;
+
+  const ClientResponse graph = Get(context + "/graph");
+  ASSERT_EQ(graph.status, 200);
+  EXPECT_NE(graph.body.find("type=table\nobject 0\n0 0\n"),
+            std::string::npos)
+      << graph.body;
+  EXPECT_EQ(Get(context + "/history/table:0").status, 200);
+  EXPECT_EQ(Get("/healthz").status, 200);
+}
+
 }  // namespace
 }  // namespace somr::serve

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace somr::wikitext {
 namespace {
 
@@ -82,6 +84,43 @@ TEST(StripInlineMarkupTest, BareTemplateRendersToNothing) {
 
 TEST(StripInlineMarkupTest, NestedTemplates) {
   EXPECT_EQ(StripInlineMarkup("{{outer|{{inner|x}}|y}}"), "x y");
+}
+
+/// `depth` nested invocations, each with its own label:
+/// {{a|L1 {{a|L2 ... {{a|Ln }} ... }} }}.
+std::string LabeledNesting(int depth) {
+  std::string out;
+  for (int i = 1; i <= depth; ++i) out += "{{a|L" + std::to_string(i) + " ";
+  for (int i = 0; i < depth; ++i) out += "}}";
+  return out;
+}
+
+/// "L1 L2 ... Ln": every level rendered.
+std::string Labels(int depth) {
+  std::string out;
+  for (int i = 1; i <= depth; ++i) {
+    out += (i > 1 ? " L" : "L") + std::to_string(i);
+  }
+  return out;
+}
+
+TEST(StripInlineMarkupTest, NestingUpToTheTemplateDepthLimitRendersAll) {
+  for (int depth = 1; depth <= 40; ++depth) {
+    EXPECT_EQ(StripInlineMarkup(LabeledNesting(depth)), Labels(depth));
+  }
+}
+
+TEST(StripInlineMarkupTest, InvocationsPastTheDepthLimitRenderAsNothing) {
+  // MediaWiki's template depth limit: below 40 levels an invocation
+  // renders as nothing, as an unknown template does.
+  EXPECT_EQ(StripInlineMarkup(LabeledNesting(41)), Labels(40));
+  EXPECT_EQ(StripInlineMarkup("a " + LabeledNesting(60) + " b"),
+            "a " + Labels(40) + " b");
+  std::string deep;
+  for (int i = 0; i < 200000; ++i) deep += "{{a|";
+  deep += "leaf";
+  for (int i = 0; i < 200000; ++i) deep += "}}";
+  EXPECT_EQ(StripInlineMarkup("top " + deep + " end"), "top end");
 }
 
 TEST(StripInlineMarkupTest, UnbalancedTemplateLeftAlone) {

@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cctype>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -125,10 +127,14 @@ void CheckBannedNewArray(const SourceFile& file,
 
 void CheckRegexInHotPath(const SourceFile& file,
                          std::vector<Diagnostic>* out) {
-  if (!PathContains(file, "src/matching") && !PathContains(file, "src/sim") &&
-      !PathContains(file, "src/retrieval") &&
-      !PathContains(file, "src/serve") &&
-      !PathContains(file, "src/state") && !PathContains(file, "src/core")) {
+  static constexpr const char* kHotPaths[] = {
+      "src/matching", "src/sim",     "src/retrieval", "src/serve",
+      "src/state",    "src/core",    "src/html",      "src/extract",
+      "src/wikitext", "src/xmldump"};
+  if (std::none_of(std::begin(kHotPaths), std::end(kHotPaths),
+                   [&file](const char* dir) {
+                     return PathContains(file, dir);
+                   })) {
     return;
   }
   for (size_t l = 0; l < file.code_lines().size(); ++l) {
@@ -141,8 +147,9 @@ void CheckRegexInHotPath(const SourceFile& file,
     if (includes_regex || line.find("std::regex") != std::string::npos) {
       out->push_back({file.path(), static_cast<int>(l) + 1,
                       "regex-in-hot-path",
-                      "std::regex allocates and backtracks; matching/sim "
-                      "hot paths must use hand-rolled scanners",
+                      "std::regex allocates and backtracks; matching, "
+                      "parsing and serving hot paths must use hand-rolled "
+                      "scanners",
                       false});
     }
   }
@@ -420,7 +427,8 @@ const std::vector<Rule>& Rules() {
        CheckBannedNewArray, nullptr},
       {"regex-in-hot-path",
        "std::regex or <regex> under src/matching, src/sim, src/retrieval, "
-       "src/serve, src/state, or src/core",
+       "src/serve, src/state, src/core, or the parsers (src/html, "
+       "src/extract, src/wikitext, src/xmldump)",
        CheckRegexInHotPath, nullptr},
       {"raw-stderr-log",
        "fprintf(stderr, ...) under src/serve, src/state or src/core (use "
